@@ -1,5 +1,5 @@
 .PHONY: all build test lint bench-json bench-smoke compile-smoke trace-smoke \
-	analyze-smoke budget-smoke sanitize-smoke metrics-smoke flight-smoke \
+	analyze-smoke budget-smoke sanitize-smoke metrics-smoke flight-smoke pulse-smoke \
 	regress-check clean
 
 all: build test
@@ -76,6 +76,16 @@ metrics-smoke:
 	dune exec bin/waltz_cli.exe -- metrics -c cuccaro -n 5 --trajectories 5 \
 	  -o /tmp/waltz_metrics.txt
 	dune exec bin/waltz_cli.exe -- metrics-check /tmp/waltz_metrics.txt
+
+# Pulse smoke (also inside `make lint` via the @lint alias): a short CZ
+# synthesis with --trace, then validate the trace and require the
+# control/ spans in it.
+pulse-smoke:
+	dune exec bin/waltz_cli.exe -- pulse --target cz2 --segments 472 --duration 236 \
+	  --iters 4 --trace /tmp/waltz_pulse.json
+	dune exec bin/waltz_cli.exe -- trace-check /tmp/waltz_pulse.json
+	grep -q control/synthesize /tmp/waltz_pulse.json
+	grep -q control/optimize /tmp/waltz_pulse.json
 
 # Flight-recorder smoke: run with the recorder armed, dump the per-domain
 # rings on demand, then validate the Chrome trace side of the dump.

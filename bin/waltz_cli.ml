@@ -1246,7 +1246,7 @@ let rb_cmd =
 (* ---- pulse ---- *)
 
 let pulse_cmd =
-  let run target duration segments iters =
+  let run target duration segments iters stats trace =
     let open Waltz_control in
     let pick = function
       | "x" -> Ok (Synthesis.x_target, [| 3 |], [| 2 |])
@@ -1264,14 +1264,15 @@ let pulse_cmd =
       1
     | Ok (target_u, levels, logical_levels) ->
       let spec = Transmon.paper_spec ~n:(Array.length levels) ~levels in
-      let report, _ =
-        Synthesis.synthesize ~seed:11 ~restarts:1 ~iters ~spec ~target:target_u
-          ~logical_levels ~duration_ns:duration ~segments ()
-      in
-      Printf.printf "T = %.1f ns: F = %.4f, leakage = %.4f (%d iterations)\n"
-        report.Synthesis.duration_ns report.Synthesis.fidelity report.Synthesis.leakage
-        report.Synthesis.iterations;
-      0
+      with_telemetry ~stats ~trace (fun () ->
+          let report, _ =
+            Synthesis.synthesize ~seed:11 ~restarts:1 ~iters ~spec ~target:target_u
+              ~logical_levels ~duration_ns:duration ~segments ()
+          in
+          Printf.printf "T = %.1f ns: F = %.4f, leakage = %.4f (%d iterations)\n"
+            report.Synthesis.duration_ns report.Synthesis.fidelity report.Synthesis.leakage
+            report.Synthesis.iterations;
+          0)
   in
   let target =
     Arg.(
@@ -1291,7 +1292,7 @@ let pulse_cmd =
   in
   Cmd.v
     (Cmd.info "pulse" ~doc:"Synthesize a ququart pulse with optimal control")
-    Term.(const run $ target $ duration $ segments $ iters)
+    Term.(const run $ target $ duration $ segments $ iters $ stats_arg $ trace_arg)
 
 let () =
   let doc = "The Quantum Waltz: three-qubit gates on four-level architectures" in

@@ -98,31 +98,8 @@ let param_gradient t damps =
   done;
   grad
 
-let optimize ?(learning_rate = 0.1) ?(iters = 300) obj t =
-  let n = param_count t in
-  let m = Array.make n 0. and v = Array.make n 0. in
-  let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
-  let history = ref [] in
-  let best = ref None in
-  let dt = fine_dt_ns t in
-  for it = 1 to iters do
-    let damps, eval = Grape.amplitude_gradient obj ~dt_ns:dt (amplitudes t) in
-    let grad = param_gradient t damps in
-    let objective = 1. -. eval.Grape.fidelity +. (obj.Grape.leak_weight *. eval.Grape.leakage) in
-    history := objective :: !history;
-    (match !best with
-    | Some (f, _) when f >= eval.Grape.fidelity -> ()
-    | _ -> best := Some (eval.Grape.fidelity, Array.copy t.theta));
-    let b1t = 1. -. (beta1 ** float_of_int it) and b2t = 1. -. (beta2 ** float_of_int it) in
-    for k = 0 to n - 1 do
-      m.(k) <- (beta1 *. m.(k)) +. ((1. -. beta1) *. grad.(k));
-      v.(k) <- (beta2 *. v.(k)) +. ((1. -. beta2) *. grad.(k) *. grad.(k));
-      let mhat = m.(k) /. b1t and vhat = v.(k) /. b2t in
-      t.theta.(k) <- t.theta.(k) -. (learning_rate *. mhat /. (sqrt vhat +. eps))
-    done
-  done;
-  (match !best with
-  | Some (_, theta) -> Array.blit theta 0 t.theta 0 n
-  | None -> ());
-  let final = Grape.evaluate_amplitudes obj ~dt_ns:dt (amplitudes t) in
-  { Grape.final; iterations = iters; history = List.rev !history }
+let optimize ?learning_rate ?iters obj t =
+  Waltz_telemetry.Telemetry.Span.with_ ~name:"control/carrier" (fun () ->
+      Grape.optimize_params ?learning_rate ?iters obj ~dt_ns:(fine_dt_ns t) ~theta:t.theta
+        ~amplitudes:(fun () -> amplitudes t)
+        ~chain:(param_gradient t))

@@ -52,4 +52,5 @@ val param_gradient : t -> float array array -> float array
 
 val optimize :
   ?learning_rate:float -> ?iters:int -> Grape.objective -> t -> Grape.opt_report
-(** Adam descent on the carrier parameters (mutates θ in place). *)
+(** Adam descent on the carrier parameters (mutates θ in place), through
+    {!Grape.optimize_params}. Recorded as one [control/carrier] span. *)

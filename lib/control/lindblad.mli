@@ -12,7 +12,10 @@
     the per-level T1/k scaling the evaluation assumes (Sec. 6.2).
 
     Integration is RK4 on the full density matrix; intended dimensions are
-    the pulse-synthesis ones (≤ 25). *)
+    the pulse-synthesis ones (≤ 25). Each public call builds the segment
+    Hamiltonians and collapse operators once and runs every RK4 stage in
+    preallocated buffers ({!Mat.mul_into}), so a step allocates nothing.
+    Each call is recorded as one [control/lindblad] span. *)
 
 open Waltz_linalg
 
@@ -33,4 +36,5 @@ val average_fidelity :
   float
 (** Monte-Carlo estimate of the open-system average gate fidelity: for
     Haar-random logical inputs |ψ⟩, the mean of ⟨ψ_V|ρ_final|ψ_V⟩ with
-    ψ_V = V|ψ⟩ the closed-system target output. *)
+    ψ_V = V|ψ⟩ the closed-system target output. The Hamiltonians and
+    buffers are shared by all [samples] evolutions. *)

@@ -1,5 +1,6 @@
 open Waltz_linalg
 open Waltz_qudit
+module Span = Waltz_telemetry.Telemetry.Span
 
 type report = {
   fidelity : float;
@@ -16,6 +17,7 @@ let report_of (eval : Grape.evaluation) ~duration_ns ~iterations =
 
 let synthesize ?(seed = 11) ?(restarts = 2) ?(iters = 200) ?(leak_weight = 0.1) ~spec
     ~target ~logical_levels ~duration_ns ~segments () =
+  Span.with_ ~name:"control/synthesize" @@ fun () ->
   let n_ctrl = 2 * Array.length spec.Transmon.levels in
   let obj = { Grape.spec; target; logical_levels; leak_weight } in
   let rng = Rng.make ~seed in
@@ -36,6 +38,7 @@ let synthesize ?(seed = 11) ?(restarts = 2) ?(iters = 200) ?(leak_weight = 0.1) 
 
 let shrink_duration ?(seed = 11) ?(iters = 150) ?(shrink = 0.85) ?(max_rounds = 6) ~spec
     ~target ~logical_levels ~start_duration_ns ~segments ~target_fidelity () =
+  Span.with_ ~name:"control/shrink_duration" @@ fun () ->
   let obj = { Grape.spec; target; logical_levels; leak_weight = 0.1 } in
   let first_report, first_pulse =
     synthesize ~seed ~restarts:2 ~iters ~spec ~target ~logical_levels

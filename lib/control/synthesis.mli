@@ -23,7 +23,9 @@ val synthesize :
   segments:int ->
   unit ->
   report * Pulse.t
-(** Best-of-[restarts] GRAPE runs from random initializations. *)
+(** Best-of-[restarts] GRAPE runs from random initializations. Recorded as
+    one [control/synthesize] span around the restarts' [control/optimize]
+    spans. *)
 
 val shrink_duration :
   ?seed:int ->
@@ -41,7 +43,7 @@ val shrink_duration :
 (** Re-optimizes at successively shorter durations (factor [shrink], default
     0.85), re-seeding each round from the previous pulse, until the target
     fidelity is lost; returns one report per round (the last entries may be
-    below target). *)
+    below target). Recorded as one [control/shrink_duration] span. *)
 
 (** {1 Named targets} *)
 

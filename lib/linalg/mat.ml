@@ -66,21 +66,40 @@ let scale (z : Cplx.t) m =
     re = Array.init (Array.length m.re) (fun k -> (z.re *. m.re.(k)) -. (z.im *. m.im.(k)));
     im = Array.init (Array.length m.im) (fun k -> (z.re *. m.im.(k)) +. (z.im *. m.re.(k))) }
 
+let well_formed m = Array.length m.re = m.rows * m.cols && Array.length m.im = m.rows * m.cols
+
+let mul_into ~dst a b =
+  if a.cols <> b.rows then invalid_arg "Mat.mul_into: dimension mismatch";
+  if dst.rows <> a.rows || dst.cols <> b.cols then invalid_arg "Mat.mul_into: dst dimension";
+  if not (well_formed a && well_formed b && well_formed dst) then
+    invalid_arg "Mat.mul_into: storage does not match dimensions";
+  if dst.re == a.re || dst.re == b.re || dst.im == a.im || dst.im == b.im then
+    invalid_arg "Mat.mul_into: dst aliases an input";
+  let ar = a.re and ai = a.im and br = b.re and bi = b.im and dr = dst.re and di = dst.im in
+  let n = a.cols and m = b.cols in
+  Array.fill dr 0 (Array.length dr) 0.;
+  Array.fill di 0 (Array.length di) 0.;
+  (* Lengths checked above, so the unchecked accesses stay in bounds. *)
+  for i = 0 to a.rows - 1 do
+    let arow = i * n and drow = i * m in
+    for k = 0 to n - 1 do
+      let are = Array.unsafe_get ar (arow + k) and aim = Array.unsafe_get ai (arow + k) in
+      if are <> 0. || aim <> 0. then begin
+        let brow = k * m in
+        for j = 0 to m - 1 do
+          let bre = Array.unsafe_get br (brow + j) and bim = Array.unsafe_get bi (brow + j) in
+          let idx = drow + j in
+          Array.unsafe_set dr idx (Array.unsafe_get dr idx +. (are *. bre) -. (aim *. bim));
+          Array.unsafe_set di idx (Array.unsafe_get di idx +. (are *. bim) +. (aim *. bre))
+        done
+      end
+    done
+  done
+
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
   let m = create a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let are = a.re.((i * a.cols) + k) and aim = a.im.((i * a.cols) + k) in
-      if are <> 0. || aim <> 0. then
-        for j = 0 to b.cols - 1 do
-          let bre = b.re.((k * b.cols) + j) and bim = b.im.((k * b.cols) + j) in
-          let idx = (i * m.cols) + j in
-          m.re.(idx) <- m.re.(idx) +. (are *. bre) -. (aim *. bim);
-          m.im.(idx) <- m.im.(idx) +. (are *. bim) +. (aim *. bre)
-        done
-    done
-  done;
+  mul_into ~dst:m a b;
   m
 
 let mul_many = function
@@ -131,7 +150,8 @@ let one_norm m =
   for j = 0 to m.cols - 1 do
     let acc = ref 0. in
     for i = 0 to m.rows - 1 do
-      acc := !acc +. Cplx.norm (get m i j)
+      let idx = (i * m.cols) + j in
+      acc := !acc +. Float.hypot m.re.(idx) m.im.(idx)
     done;
     if !acc > !best then best := !acc
   done;
@@ -262,29 +282,218 @@ let process_fidelity u v =
   let t = trace (mul (adjoint u) v) in
   Cplx.norm2 t /. float_of_int (u.rows * u.rows)
 
-(* Scaling-and-squaring Taylor exponential: pick s so that ||A/2^s||₁ ≤ 1/2,
-   run the series until terms vanish, square back up. *)
+(* ---- Matrix exponential: scaling and squaring over diagonal Padé
+   approximants (Higham, SIAM J. Matrix Anal. Appl. 26, 2005). ---- *)
+
+type expm_workspace = {
+  n : int;
+  x : t;  (* the (scaled) argument *)
+  pows : t array;  (* x², x⁴, x⁶ and x⁸ (or scratch on the degree-13 path) *)
+  u : t;  (* odd part *)
+  v : t;  (* even part *)
+  w : t;  (* scratch *)
+  q : t;  (* V − U, eliminated in place *)
+  r : t;  (* V + U, then the solution *)
+}
+
+let expm_workspace n =
+  let m () = create n n in
+  { n; x = m (); pows = Array.init 4 (fun _ -> m ()); u = m (); v = m (); w = m (); q = m ();
+    r = m () }
+
+(* θ_m: the largest one-norm at which the degree-m approximant is accurate to
+   unit roundoff, and the Padé numerator coefficients b_0 … b_m. *)
+let theta_3 = 1.495585217958292e-2
+let theta_5 = 2.539398330063230e-1
+let theta_7 = 9.504178996162932e-1
+let theta_9 = 2.097847961257068e0
+let theta_13 = 5.371920351148152e0
+
+let pade_3 = [| 120.; 60.; 12.; 1. |]
+let pade_5 = [| 30240.; 15120.; 3360.; 420.; 30.; 1. |]
+let pade_7 = [| 17297280.; 8648640.; 1995840.; 277200.; 25200.; 1512.; 56.; 1. |]
+
+let pade_9 =
+  [| 17643225600.; 8821612800.; 2075673600.; 302702400.; 30270240.; 2162160.; 110880.;
+     3960.; 90.; 1. |]
+
+let pade_13 =
+  [| 64764752532480000.; 32382376266240000.; 7771770303897600.; 1187353796428800.;
+     129060195264000.; 10559470521600.; 670442572800.; 33522128640.; 1323241920.;
+     40840800.; 960960.; 16380.; 182.; 1. |]
+
+(* dst ← c_id·I + Σ_{k < count} b.(first + 2k)·pows.(k). *)
+let poly_into ~dst ~c_id b ~first ~count pows =
+  Array.fill dst.re 0 (Array.length dst.re) 0.;
+  Array.fill dst.im 0 (Array.length dst.im) 0.;
+  for i = 0 to dst.rows - 1 do
+    dst.re.((i * dst.cols) + i) <- c_id
+  done;
+  for k = 0 to count - 1 do
+    let c = b.(first + (2 * k)) and m = pows.(k) in
+    for idx = 0 to Array.length dst.re - 1 do
+      dst.re.(idx) <- dst.re.(idx) +. (c *. m.re.(idx));
+      dst.im.(idx) <- dst.im.(idx) +. (c *. m.im.(idx))
+    done
+  done
+
+(* dst ← dst + sign·m *)
+let acc_into ~dst sign m =
+  for idx = 0 to Array.length dst.re - 1 do
+    dst.re.(idx) <- dst.re.(idx) +. (sign *. m.re.(idx));
+    dst.im.(idx) <- dst.im.(idx) +. (sign *. m.im.(idx))
+  done
+
+let swap_rows m i j =
+  let n = m.cols in
+  for c = 0 to n - 1 do
+    let a = (i * n) + c and b = (j * n) + c in
+    let t = m.re.(a) in
+    m.re.(a) <- m.re.(b);
+    m.re.(b) <- t;
+    let t = m.im.(a) in
+    m.im.(a) <- m.im.(b);
+    m.im.(b) <- t
+  done
+
+(* Solves q·X = r in place (X overwrites r) by Gaussian elimination with
+   partial pivoting; q is destroyed. *)
+let solve_in_place q r =
+  let n = q.rows in
+  let qr = q.re and qi = q.im and rr = r.re and ri = r.im in
+  for k = 0 to n - 1 do
+    let piv = ref k and best = ref (-1.) in
+    for i = k to n - 1 do
+      let idx = (i * n) + k in
+      let mag = Float.abs qr.(idx) +. Float.abs qi.(idx) in
+      if mag > !best then begin
+        best := mag;
+        piv := i
+      end
+    done;
+    if !piv <> k then begin
+      swap_rows q k !piv;
+      swap_rows r k !piv
+    end;
+    let kk = (k * n) + k in
+    let pr = qr.(kk) and pi = qi.(kk) in
+    let den = (pr *. pr) +. (pi *. pi) in
+    if den = 0. then invalid_arg "Mat.expm: singular Padé denominator";
+    (* 1 / pivot *)
+    let ir = pr /. den and ii = -.pi /. den in
+    for i = k + 1 to n - 1 do
+      let ik = (i * n) + k in
+      let ar = qr.(ik) and ai = qi.(ik) in
+      if ar <> 0. || ai <> 0. then begin
+        let lr = (ar *. ir) -. (ai *. ii) and li = (ar *. ii) +. (ai *. ir) in
+        for c = k + 1 to n - 1 do
+          let ic = (i * n) + c and kc = (k * n) + c in
+          qr.(ic) <- qr.(ic) -. ((lr *. qr.(kc)) -. (li *. qi.(kc)));
+          qi.(ic) <- qi.(ic) -. ((lr *. qi.(kc)) +. (li *. qr.(kc)))
+        done;
+        for c = 0 to n - 1 do
+          let ic = (i * n) + c and kc = (k * n) + c in
+          rr.(ic) <- rr.(ic) -. ((lr *. rr.(kc)) -. (li *. ri.(kc)));
+          ri.(ic) <- ri.(ic) -. ((lr *. ri.(kc)) +. (li *. rr.(kc)))
+        done
+      end
+    done
+  done;
+  for k = n - 1 downto 0 do
+    for j = k + 1 to n - 1 do
+      let kj = (k * n) + j in
+      let ar = qr.(kj) and ai = qi.(kj) in
+      if ar <> 0. || ai <> 0. then
+        for c = 0 to n - 1 do
+          let kc = (k * n) + c and jc = (j * n) + c in
+          rr.(kc) <- rr.(kc) -. ((ar *. rr.(jc)) -. (ai *. ri.(jc)));
+          ri.(kc) <- ri.(kc) -. ((ar *. ri.(jc)) +. (ai *. rr.(jc)))
+        done
+    done;
+    let kk = (k * n) + k in
+    let pr = qr.(kk) and pi = qi.(kk) in
+    let den = (pr *. pr) +. (pi *. pi) in
+    let ir = pr /. den and ii = -.pi /. den in
+    for c = 0 to n - 1 do
+      let kc = (k * n) + c in
+      let xr = rr.(kc) and xi = ri.(kc) in
+      rr.(kc) <- (xr *. ir) -. (xi *. ii);
+      ri.(kc) <- (xr *. ii) +. (xi *. ir)
+    done
+  done
+
+let expm_into ws ~dst a =
+  if a.rows <> a.cols then invalid_arg "Mat.expm_into: not square";
+  if a.rows <> ws.n || dst.rows <> ws.n || dst.cols <> ws.n then
+    invalid_arg "Mat.expm_into: dimension mismatch";
+  let { x; pows; u; v; w; q; r; _ } = ws in
+  let x2 = pows.(0) and x4 = pows.(1) and x6 = pows.(2) and x8 = pows.(3) in
+  let nrm = one_norm a in
+  let s =
+    if nrm <= theta_13 then 0
+    else int_of_float (Float.ceil (Float.log2 (nrm /. theta_13)))
+  in
+  let inv = Float.ldexp 1. (-s) in
+  for idx = 0 to Array.length a.re - 1 do
+    x.re.(idx) <- inv *. a.re.(idx);
+    x.im.(idx) <- inv *. a.im.(idx)
+  done;
+  mul_into ~dst:x2 x x;
+  let degree =
+    if nrm <= theta_3 then 3 else if nrm <= theta_5 then 5 else if nrm <= theta_7 then 7
+    else if nrm <= theta_9 then 9 else 13
+  in
+  if degree >= 5 then mul_into ~dst:x4 x2 x2;
+  if degree >= 7 then mul_into ~dst:x6 x4 x2;
+  if degree = 9 then mul_into ~dst:x8 x6 x2;
+  if degree <= 9 then begin
+    (* U = x·(b_1 I + b_3 x² + …), V = b_0 I + b_2 x² + … *)
+    let b =
+      match degree with 3 -> pade_3 | 5 -> pade_5 | 7 -> pade_7 | _ -> pade_9
+    in
+    let count = (degree - 1) / 2 in
+    poly_into ~dst:w ~c_id:b.(1) b ~first:3 ~count pows;
+    mul_into ~dst:u x w;
+    poly_into ~dst:v ~c_id:b.(0) b ~first:2 ~count pows
+  end
+  else begin
+    let b = pade_13 in
+    (* U = x·[x⁶·(b13 x⁶ + b11 x⁴ + b9 x²) + b7 x⁶ + b5 x⁴ + b3 x² + b1 I] *)
+    poly_into ~dst:w ~c_id:0. b ~first:9 ~count:3 pows;
+    mul_into ~dst:x8 x6 w;
+    poly_into ~dst:w ~c_id:b.(1) b ~first:3 ~count:3 pows;
+    acc_into ~dst:w 1. x8;
+    mul_into ~dst:u x w;
+    (* V = x⁶·(b12 x⁶ + b10 x⁴ + b8 x²) + b6 x⁶ + b4 x⁴ + b2 x² + b0 I *)
+    poly_into ~dst:w ~c_id:0. b ~first:8 ~count:3 pows;
+    mul_into ~dst:x8 x6 w;
+    poly_into ~dst:v ~c_id:b.(0) b ~first:2 ~count:3 pows;
+    acc_into ~dst:v 1. x8
+  end;
+  (* Solve (V − U)·R = V + U. *)
+  Array.blit v.re 0 q.re 0 (Array.length v.re);
+  Array.blit v.im 0 q.im 0 (Array.length v.im);
+  acc_into ~dst:q (-1.) u;
+  Array.blit v.re 0 r.re 0 (Array.length v.re);
+  Array.blit v.im 0 r.im 0 (Array.length v.im);
+  acc_into ~dst:r 1. u;
+  solve_in_place q r;
+  (* Square back up, alternating between r and w. *)
+  let cur = ref r and spare = ref w in
+  for _ = 1 to s do
+    mul_into ~dst:!spare !cur !cur;
+    let t = !cur in
+    cur := !spare;
+    spare := t
+  done;
+  Array.blit !cur.re 0 dst.re 0 (Array.length dst.re);
+  Array.blit !cur.im 0 dst.im 0 (Array.length dst.im)
+
 let expm a =
   if a.rows <> a.cols then invalid_arg "Mat.expm: not square";
-  let n = a.rows in
-  let nrm = one_norm a in
-  let s = if nrm <= 0.5 then 0 else int_of_float (Float.ceil (Float.log (nrm /. 0.5) /. Float.log 2.)) in
-  let x = scale (Cplx.re (1. /. Float.of_int (1 lsl s))) a in
-  let result = ref (identity n) in
-  let term = ref (identity n) in
-  let k = ref 1 in
-  let continue = ref true in
-  while !continue && !k < 40 do
-    term := scale (Cplx.re (1. /. float_of_int !k)) (mul !term x);
-    result := add !result !term;
-    if max_abs !term < 1e-16 then continue := false;
-    incr k
-  done;
-  let r = ref !result in
-  for _ = 1 to s do
-    r := mul !r !r
-  done;
-  !r
+  let dst = create a.rows a.rows in
+  expm_into (expm_workspace a.rows) ~dst a;
+  dst
 
 let pp ppf m =
   Format.fprintf ppf "@[<v>";

@@ -41,7 +41,14 @@ val sub : t -> t -> t
 val scale : Cplx.t -> t -> t
 
 val mul : t -> t -> t
-(** Matrix product. *)
+(** Matrix product: [mul a b] is [mul_into ~dst] on a fresh matrix. *)
+
+val mul_into : dst:t -> t -> t -> unit
+(** [mul_into ~dst a b] overwrites [dst] with [a·b] without allocating. The
+    loop is i-k-j and skips exact-zero entries of [a], so the work is
+    proportional to [a]'s nonzeros times [b]'s columns and the result is
+    bitwise what {!mul} returns. Raises [Invalid_argument] when the shapes
+    disagree or when [dst] shares storage with [a] or [b]. *)
 
 val mul_many : t list -> t
 (** Product of a non-empty list, left to right: [mul_many [a; b; c]] is
@@ -107,9 +114,22 @@ val process_fidelity : t -> t -> float
 (** [process_fidelity u v] is |Tr(u†·v)|²/n² — the gate fidelity of Eq. 1
     between two same-dimension unitaries. *)
 
+type expm_workspace
+(** Scratch matrices for {!expm_into} at one dimension. *)
+
+val expm_workspace : int -> expm_workspace
+
+val expm_into : expm_workspace -> dst:t -> t -> unit
+(** [expm_into ws ~dst a] overwrites [dst] with e^a without allocating:
+    scaling and squaring over diagonal Padé approximants with Higham's
+    (2005) degree table. The one-norm of [a] picks the degree 3, 5, 7, 9 or
+    13 that is accurate to unit roundoff; above θ₁₃ ≈ 5.37 the argument is
+    halved s times, degree 13 is used and the result squared s times. The
+    approximant is solved by Gaussian elimination with partial pivoting.
+    For anti-Hermitian arguments the result is unitary to ≈1e-14. [dst]
+    may be [a]; both must match the workspace's dimension. *)
+
 val expm : t -> t
-(** Matrix exponential by scaling-and-squaring with a Taylor core. Accurate
-    to ≈1e-13 for the well-conditioned anti-Hermitian arguments used in time
-    evolution. *)
+(** [expm_into] on a fresh matrix and workspace. *)
 
 val pp : Format.formatter -> t -> unit

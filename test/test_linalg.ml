@@ -56,6 +56,58 @@ let test_expm () =
   let big = Mat.scale (Cplx.c 0. (-40.)) x in
   assert_unitary ~tol:1e-9 "expm of large anti-hermitian is unitary" (Mat.expm big)
 
+(* −i·H for a random Hermitian H of dimension [d], scaled to one-norm [nrm]. *)
+let random_generator r ~d ~nrm =
+  let g = Mat.init d d (fun _ _ -> Cplx.c (Rng.gaussian r) (Rng.gaussian r)) in
+  let herm = Mat.add g (Mat.adjoint g) in
+  Mat.scale (Cplx.c 0. (-.nrm /. Mat.one_norm herm)) herm
+
+let test_expm_pade_vs_taylor () =
+  (* One-norms that select each Padé degree (3, 5, 7, 9, 13) and the
+     squaring branch. *)
+  let r = rng 17 in
+  List.iter
+    (fun nrm ->
+      List.iter
+        (fun d ->
+          let a = random_generator r ~d ~nrm in
+          let e = Mat.expm a in
+          let msg = Printf.sprintf "norm %g, dim %d" nrm d in
+          mat_equal ~tol:1e-13 ("Padé vs Taylor, " ^ msg) (taylor_expm a) e;
+          assert_unitary ~tol:1e-13 ("Padé unitary, " ^ msg) e;
+          let ws = Mat.expm_workspace d in
+          let dst = Mat.zeros d d in
+          Mat.expm_into ws ~dst a;
+          check_bool ("expm_into = expm, " ^ msg) true (dst = e);
+          (* The argument may be overwritten by its own exponential. *)
+          let a' = Mat.copy a in
+          Mat.expm_into ws ~dst:a' a';
+          check_bool ("expm_into in place, " ^ msg) true (a' = e))
+        [ 2; 5; 9 ])
+    [ 0.01; 0.2; 0.9; 2.; 5.; 40. ]
+
+let test_mul_into () =
+  let r = rng 23 in
+  let m rows cols =
+    Mat.init rows cols (fun i j ->
+        (* Exact zeros exercise the zero-skip. *)
+        if (i + j) mod 3 = 0 then Cplx.zero else Cplx.c (Rng.gaussian r) (Rng.gaussian r))
+  in
+  let a = m 4 6 and b = m 6 5 in
+  let dst = Mat.init 4 5 (fun _ _ -> Cplx.c 7. 7.) in
+  Mat.mul_into ~dst a b;
+  check_bool "mul = mul_into bitwise" true (Mat.mul a b = dst);
+  let sq = m 4 4 in
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | () -> Alcotest.failf "mul_into accepted %s" name
+      | exception Invalid_argument _ -> ())
+    [ ("dst = left", fun () -> Mat.mul_into ~dst:sq sq (m 4 4));
+      ("dst = right", fun () -> Mat.mul_into ~dst:sq (m 4 4) sq);
+      ("shared storage", fun () -> Mat.mul_into ~dst:{ sq with Mat.im = Array.make 16 0. } sq (m 4 4));
+      ("wrong dst shape", fun () -> Mat.mul_into ~dst:(Mat.zeros 4 4) a b) ]
+
 let test_process_fidelity () =
   let u = Mat.identity 4 in
   close "self fidelity" 1. (Mat.process_fidelity u u);
@@ -116,6 +168,8 @@ let suite =
     case "kron" test_kron;
     case "permutation" test_permutation;
     case "expm" test_expm;
+    case "expm Padé vs Taylor" test_expm_pade_vs_taylor;
+    case "mul_into" test_mul_into;
     case "process fidelity" test_process_fidelity;
     case "vec" test_vec;
     case "rng" test_rng;
