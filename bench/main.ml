@@ -1193,10 +1193,10 @@ let smoke () =
   List.iter
     (fun (domains, batch) ->
       if same (Executor.simulate_detailed ~config ~domains ~batch compiled) then
-        Printf.printf "  scalar vs domains=%d/batch=%d: bit-identical\n" domains batch
+        Printf.printf "  batch=1 vs domains=%d/batch=%d: bit-identical\n" domains batch
       else begin
         incr failures;
-        Printf.printf "  FAIL: domains=%d/batch=%d diverges from the scalar engine\n"
+        Printf.printf "  FAIL: domains=%d/batch=%d diverges from batch=1\n"
           domains batch
       end)
     [ (2, 1); (1, 2); (2, 3); (2, 4) ];

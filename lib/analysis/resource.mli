@@ -4,15 +4,15 @@
     program and emits a machine-checkable {e resource certificate} for one
     (program × trajectories × batch × domains) run configuration: sound
     upper bounds on peak heap payload bytes (state planes, per-domain
-    scalar and lockstep workspaces, scratch arenas, plan-resident kernel
-    tables, cache residency), on modeled wall-clock (the COST makespan
+    lockstep workspaces, scratch arenas, plan-resident kernel tables, cache
+    residency), on modeled wall-clock (the COST makespan
     interval folded through trajectory count, batch width and domain
     count), on pool seat demand, plus the exact static kernel-class
     dispatch mix the executor's [plan_dispatch] will flush.
 
     Soundness is by construction: every byte figure is computed through the
     same formulas the executor itself observes through
-    ({!Waltz_core.Executor.workspace_bytes} and friends), so the invariant
+    ({!Waltz_core.Executor.block_workspace_bytes} and friends), so the invariant
     "certified ≥ observed" cannot be broken by the two sides counting
     different things. The certificate is independent of the noise model —
     memory, dispatch mix and modeled schedule are functions of the compiled
@@ -49,8 +49,7 @@ type t = {
   (* memory (payload bytes) *)
   program_bytes : int;  (** the compiled program's own gate matrices/maps *)
   state_bytes : int;  (** one scalar state vector (two planes) *)
-  scalar_workspace_bytes : int;  (** per participating domain, scalar path *)
-  block_workspace_bytes : int;  (** per participating domain, lockstep path *)
+  block_workspace_bytes : int;  (** per participating domain *)
   scratch_bytes : int;  (** per-domain scratch arena bound *)
   plan_bytes : int;  (** lifted matrices + kernel tables, observed-comparable *)
   plan_table_bytes : int;  (** support/leakage/damping table bound *)
@@ -62,7 +61,7 @@ type t = {
   expected_ns : float;
   (* pool *)
   seat_demand : int;  (** seats incl. the caller the run can usefully occupy *)
-  queue_depth : int;  (** items published: trajectories, or lockstep blocks *)
+  queue_depth : int;  (** items published: lockstep blocks *)
   (* dispatch *)
   dispatch_mix : (string * int) list;
       (** static ops per kernel class, every class listed, catalog order *)

@@ -524,10 +524,10 @@ let set_program_cache on = program_cache_enabled := on
 
 let program_cache_clear () =
   Mutex.lock program_cache_mutex;
-  Sanitize.Lock.acquire "compile.program_cache_mutex";
+  let held = Sanitize.Lock.acquire "compile.program_cache_mutex" in
   Sanitize.Shared.write "compile.program_cache";
   program_cache := [];
-  Sanitize.Lock.release "compile.program_cache_mutex";
+  Sanitize.Lock.release "compile.program_cache_mutex" held;
   Mutex.unlock program_cache_mutex
 
 let cache_find ~fp ~strategy ~topo circuit =
@@ -553,23 +553,23 @@ let compile ?topology ?(verify = false) ?(analyze = false) ?(certify = false) st
   else begin
     let fp = Circuit.fingerprint circuit in
     Mutex.lock program_cache_mutex;
-    Sanitize.Lock.acquire "compile.program_cache_mutex";
+    let held = Sanitize.Lock.acquire "compile.program_cache_mutex" in
     let cached = cache_find ~fp ~strategy ~topo circuit in
     match cached with
     | Some entry ->
       Sanitize.Shared.write "compile.program_cache";
       program_cache := entry :: List.filter (fun e -> not (e == entry)) !program_cache;
-      Sanitize.Lock.release "compile.program_cache_mutex";
+      Sanitize.Lock.release "compile.program_cache_mutex" held;
       Mutex.unlock program_cache_mutex;
       Telemetry.Metrics.cell_incr cache_hit_cell;
       entry.program
     | None ->
-      Sanitize.Lock.release "compile.program_cache_mutex";
+      Sanitize.Lock.release "compile.program_cache_mutex" held;
       Mutex.unlock program_cache_mutex;
       Telemetry.Metrics.cell_incr cache_miss_cell;
       let program = compile_uncached ~topo strategy circuit in
       Mutex.lock program_cache_mutex;
-      Sanitize.Lock.acquire "compile.program_cache_mutex";
+      let held = Sanitize.Lock.acquire "compile.program_cache_mutex" in
       (* Re-check before inserting: compilation ran outside the lock, so a
          concurrent caller may have compiled and inserted the same key in
          the meantime. Adopting the winner keeps the executor's [==]-keyed
@@ -587,7 +587,7 @@ let compile ?topology ?(verify = false) ?(analyze = false) ?(certify = false) st
                 else !program_cache);
           program
       in
-      Sanitize.Lock.release "compile.program_cache_mutex";
+      Sanitize.Lock.release "compile.program_cache_mutex" held;
       Mutex.unlock program_cache_mutex;
       program
   end

@@ -17,7 +17,7 @@ type result = { mean_fidelity : float; sem : float; trajectories : int }
 let max_devices ~device_dim = if device_dim = 4 then 11 else 22
 
 (* Hot-path telemetry handles, interned once at module init so per-op and
-   per-trajectory instrumentation never hashes a metric name or takes the
+   per-block instrumentation never hashes a metric name or takes the
    telemetry state mutex (see Metrics.cell / Metrics.series). The
    per-domain trajectory counter name depends on the recording domain, so
    its cell is interned lazily per domain. *)
@@ -30,7 +30,6 @@ let plan_miss_cell = Telemetry.Metrics.cell "executor.plan_cache.miss"
 let lift_hit_cell = Telemetry.Metrics.cell "executor.lift_gate.hit"
 let lift_miss_cell = Telemetry.Metrics.cell "executor.lift_gate.miss"
 let lift_collision_cell = Telemetry.Metrics.cell "executor.lift_table.collision"
-let trajectory_us_series = Telemetry.Metrics.series "executor.trajectory_us"
 let block_us_series = Telemetry.Metrics.series "executor.block_us"
 
 let domain_traj_cell : Telemetry.Metrics.cell Domain.DLS.key =
@@ -145,7 +144,7 @@ let lift_gate ~device_dim (op : Physical.op) =
   let gate = op.Physical.gate in
   let key = (device_dim, pattern, op.Physical.label, gate.Mat.rows) in
   Mutex.lock lift_mutex;
-  Sanitize.Lock.acquire "executor.lift_mutex";
+  let held = Sanitize.Lock.acquire "executor.lift_mutex" in
   let bucket =
     match Hashtbl.find_opt lift_table key with
     | Some b -> b
@@ -167,7 +166,7 @@ let lift_gate ~device_dim (op : Physical.op) =
       bucket := (gate, lifted) :: !bucket;
       (lifted, false, collision)
   in
-  Sanitize.Lock.release "executor.lift_mutex";
+  Sanitize.Lock.release "executor.lift_mutex" held;
   Mutex.unlock lift_mutex;
   Telemetry.Metrics.cell_incr (if hit then lift_hit_cell else lift_miss_cell);
   if collision then Telemetry.Metrics.cell_incr lift_collision_cell;
@@ -249,10 +248,6 @@ let leakage_tables_of ~map (compiled : Physical.t) =
    bounds through the same ones, so "certified >= observed" can never be
    broken by the two sides counting different things. All figures are
    array payload bytes (8 per float or int word), headers excluded. *)
-let workspace_bytes ~dims =
-  let n = Array.fold_left ( * ) 1 dims in
-  3 * 2 * 8 * n
-
 let block_workspace_bytes ~dims ~cap =
   let n = Array.fold_left ( * ) 1 dims in
   (3 * 2 * 8 * n * cap) + (3 * 8 * cap)
@@ -372,24 +367,24 @@ let plan_memo : (Physical.t * Noise.model * plan) option ref Domain.DLS.key =
 
 let plan_shared ~model (compiled : Physical.t) =
   Mutex.lock plan_cache_mutex;
-  Sanitize.Lock.acquire "executor.plan_cache_mutex";
+  let held = Sanitize.Lock.acquire "executor.plan_cache_mutex" in
   let cached = plan_cache_find ~model compiled in
   let p =
     match cached with
     | Some ((_, _, p) as entry) ->
       Sanitize.Shared.write "executor.plan_cache";
       plan_cache := entry :: List.filter (fun e -> not (e == entry)) !plan_cache;
-      Sanitize.Lock.release "executor.plan_cache_mutex";
+      Sanitize.Lock.release "executor.plan_cache_mutex" held;
       Mutex.unlock plan_cache_mutex;
       Telemetry.Metrics.cell_incr plan_hit_cell;
       p
     | None ->
-      Sanitize.Lock.release "executor.plan_cache_mutex";
+      Sanitize.Lock.release "executor.plan_cache_mutex" held;
       Mutex.unlock plan_cache_mutex;
       Telemetry.Metrics.cell_incr plan_miss_cell;
       let p = plan_uncached ~model compiled in
       Mutex.lock plan_cache_mutex;
-      Sanitize.Lock.acquire "executor.plan_cache_mutex";
+      let held = Sanitize.Lock.acquire "executor.plan_cache_mutex" in
       (* Re-check before inserting: planning runs outside the lock, so a
          concurrent caller may have planned and inserted the same
          (compiled, model) in the meantime. Without this, both planners
@@ -408,7 +403,7 @@ let plan_shared ~model (compiled : Physical.t) =
                 else !plan_cache);
           p
       in
-      Sanitize.Lock.release "executor.plan_cache_mutex";
+      Sanitize.Lock.release "executor.plan_cache_mutex" held;
       Mutex.unlock plan_cache_mutex;
       p
   in
@@ -425,12 +420,6 @@ let plan ~model (compiled : Physical.t) =
     memo := Some (compiled, model, p);
     p
 
-(* The whole point of the kernel stage: per-op, per-trajectory cost is one
-   dispatch on the precompiled class, no re-validation or re-classification.
-   Dispatch counters are flushed per trajectory/block from [plan_dispatch],
-   not here, so the apply loop carries no instrumentation at all. *)
-let apply_plan_op state p = Kernel.apply p.kernel (State.amplitudes state)
-
 let embed_error ~device_dim role pauli =
   match (role, device_dim) with
   | Physical.P4, 4 -> pauli
@@ -440,57 +429,16 @@ let embed_error ~device_dim role pauli =
   | Physical.P4, _ -> invalid_arg "Executor: P4 errors need 4-level devices"
   | _ -> invalid_arg "Executor: inconsistent error role"
 
-let inject_errors rng ~device_dim state p =
-  if p.error_parts = [] then 0
-  else begin
-    match Noise.draw_error rng ~dims:p.error_dims ~p:p.error_p with
-    | None -> 0
-    | Some factors ->
-      List.iter2
-        (fun (device, role) pauli ->
-          State.apply state ~targets:[ device ] (embed_error ~device_dim role pauli))
-        p.error_parts factors;
-      1
-  end
-
-let damp_specs state rng specs =
-  List.iter
-    (fun { dwire; lambdas; scales } ->
-      State.damp_with state rng ~wire:dwire ~lambdas ~scales)
-    specs
-
-let run_noisy rng ~device_dim plan state =
-  let draws = ref 0 in
-  List.iter
-    (fun p ->
-      damp_specs state rng p.pre_damp;
-      apply_plan_op state p;
-      draws := !draws + inject_errors rng ~device_dim state p)
-    plan.plan_ops;
-  damp_specs state rng plan.final_damp;
-  !draws
-
 let run_ideal (compiled : Physical.t) state =
   let plan = plan ~model:Noise.default compiled in
   let out = State.copy state in
-  List.iter (fun p -> apply_plan_op out p) plan.plan_ops;
+  List.iter (fun p -> Kernel.apply p.kernel (State.amplitudes out)) plan.plan_ops;
   Array.iter (fun (c, n) -> Telemetry.Metrics.cell_incr ~by:n c) plan.plan_dispatch;
   out
 
-let leakage_with tables state =
-  let ok = tables.l_ok in
-  let amps = State.amplitudes state in
-  let re = amps.Waltz_linalg.Vec.re and im = amps.Waltz_linalg.Vec.im in
-  let inside = ref 0. in
-  for idx = 0 to Waltz_linalg.Vec.dim amps - 1 do
-    if ok.(idx) then inside := !inside +. (re.(idx) *. re.(idx)) +. (im.(idx) *. im.(idx))
-  done;
-  1. -. !inside
-
-(* Per-lane leakage, the SoA counterpart of [leakage_with]: the support
-   test per index is shared across lanes, and each lane accumulates its
-   inside-subspace weight in the same ascending-index order as the scalar
-   sweep — bit-identical per lane. *)
+(* Per-lane leakage: the support test per index is shared across lanes, and
+   each lane accumulates its inside-subspace weight in ascending index
+   order, so a lane's result does not depend on the block width. *)
 let leakage_block_with tables blk ~inside out =
   let ok = tables.l_ok in
   let cap = State_block.capacity blk and live = State_block.live blk in
@@ -511,45 +459,11 @@ let leakage_block_with tables blk ~inside out =
 
 type detailed = { summary : result; mean_leakage : float; mean_error_draws : float }
 
-(* Per-domain trajectory workspace: the input/ideal/noisy state triple is
-   reused across every trajectory a domain runs, so the steady-state loop
-   allocates no state vectors at all. One slot per domain suffices — a
-   simulate call has a single register shape — keyed by the full dims array
-   (dims [|2;2|] and [|4|] share a total dimension but not a shape). *)
-type workspace = {
-  wdims : int array;
-  input : State.t;
-  ideal : State.t;
-  noisy : State.t;
-  wowner : Sanitize.Arena.token;  (* sanitizer ownership witness *)
-}
-
-let workspace_key : workspace option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let workspace_for dims =
-  let slot = Domain.DLS.get workspace_key in
-  match !slot with
-  | Some ws when ws.wdims = dims ->
-    Sanitize.Arena.touch ws.wowner;
-    ws
-  | _ ->
-    let ws =
-      { wdims = Array.copy dims;
-        input = State.create ~dims;
-        ideal = State.create ~dims;
-        noisy = State.create ~dims;
-        wowner = Sanitize.Arena.create "executor.workspace" }
-    in
-    Telemetry.Metrics.incr ~by:(workspace_bytes ~dims) "executor.workspace.bytes";
-    slot := Some ws;
-    ws
-
 (* Per-domain batched workspace: the input/ideal/noisy block triple plus
    the per-lane reduction buffers, reused across every block a domain runs
    (one register shape and one batch width per simulate call). The arena
    token makes a block smuggled across a pool job boundary an OWN01
-   sanitizer finding, exactly like the scalar workspace. *)
+   sanitizer finding. *)
 type block_workspace = {
   bdims : int array;
   bcap : int;
@@ -612,8 +526,6 @@ let default_batch () =
     b
   | b -> b
 
-let apply_plan_op_block blk p = State_block.apply_kernel blk p.kernel
-
 let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
   let device_dim = compiled.Physical.device_dim in
   if compiled.Physical.device_count > max_devices ~device_dim then
@@ -632,66 +544,25 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
   let dims = plan.plan_dims in
   let support = plan.plan_support in
   let leak_tables = plan.plan_leak in
-  let run_trajectory_raw k =
-    (* Split-stream seeding: trajectory k's stream depends only on k, so the
-       result is bit-identical at every domain count. *)
-    let rng = Rng.make ~seed:(config.base_seed + (7919 * k)) in
-    let ws = workspace_for dims in
-    State.fill_random_on ws.input rng ~support;
-    State.assign ~dst:ws.ideal ~src:ws.input;
-    List.iter (fun p -> apply_plan_op ws.ideal p) plan.plan_ops;
-    State.assign ~dst:ws.noisy ~src:ws.input;
-    let draws = run_noisy rng ~device_dim plan ws.noisy in
-    let leak = leakage_with leak_tables ws.noisy in
-    (State.overlap2 ws.ideal ws.noisy, leak, draws)
+  let domains =
+    match domains with Some d -> max 1 d | None -> Pool.default_domains ()
   in
-  (* Telemetry does not touch the trajectory's RNG stream or the reduction
-     order, so the statistics are bit-identical with it on or off. *)
-  let flush_trajectory_metrics dur =
-    Telemetry.Metrics.series_observe trajectory_us_series dur;
-    Telemetry.Metrics.cell_add trajectories_cell 1;
-    Telemetry.Metrics.cell_add (Domain.DLS.get domain_traj_cell) 1;
-    (* Each plan op was dispatched twice: the ideal pass and the noisy
-       pass. *)
-    Array.iter (fun (c, n) -> Telemetry.Metrics.cell_add c (2 * n)) plan.plan_dispatch
-  in
-  let run_trajectory k =
-    if not (Telemetry.active ()) then run_trajectory_raw k
-    else if not (Telemetry.enabled ()) then begin
-      (* Always-on plane (metrics and/or armed flight recorder, no span
-         collection): hand-inlined so the per-trajectory cost is two
-         unboxed clock reads, the ring stores and the counter flush — no
-         closure, tuple or boxed-float allocation on the way. *)
-      let start_us = Clock.now_us () in
-      Recorder.record_begin_at "trajectory" start_us;
-      match run_trajectory_raw k with
-      | r ->
-        let end_us = Clock.now_us () in
-        Recorder.record_end_at "trajectory" end_us;
-        if Telemetry.metrics_enabled () then
-          flush_trajectory_metrics (end_us -. start_us);
-        r
-      | exception exn ->
-        let bt = Printexc.get_raw_backtrace () in
-        Recorder.record_end_at "trajectory" (Clock.now_us ());
-        Printexc.raise_with_backtrace exn bt
-    end
-    else begin
-      let r, dur =
-        Telemetry.Span.with_timed ~name:"trajectory" (fun () -> run_trajectory_raw k)
-      in
-      if Telemetry.metrics_enabled () then flush_trajectory_metrics dur;
-      r
-    end
-  in
-  (* One block of [batch] trajectories in lockstep over the SoA planes.
-     Lane k of block j is trajectory j*batch + k, with its own split-stream
-     RNG, so the per-lane draw order (input gaussians, per-window jump
-     choices, per-op error draws) is exactly the scalar trajectory's — the
-     flattened samples are bit-identical to the scalar engine at every
-     batch width and domain count. Returns (per-lane samples, lanes that
-     diverged from lockstep, per-lane stochastic windows). *)
-  let run_block_raw j ~batch =
+  (* Never allocate wider planes than there are trajectories: a 2-trajectory
+     run with the default width would otherwise sweep 8-lane-stride planes
+     with 6 dead lanes. Lane k's stream depends only on its trajectory
+     index, so clamping changes no statistics. *)
+  let batch = match batch with Some b -> max 1 b | None -> default_batch () in
+  let batch = max 1 (min batch config.trajectories) in
+  (* One block of [batch] trajectories in lockstep over the SoA planes
+     (Sec. 6.4's trajectory method, [batch] at a time; width 1 is a
+     one-lane block). Lane k of block j is trajectory j*batch + k, with its
+     own split-stream RNG seeded from the trajectory index alone, so each
+     lane draws in the same order (input gaussians, per-window jump
+     choices, per-op error draws) at every batch width and domain count,
+     and the flattened samples are bit-identical across both. Returns
+     (per-lane samples, lanes that diverged from lockstep, per-lane
+     stochastic windows). *)
+  let run_block_raw j =
     let b0 = j * batch in
     let live = min batch (config.trajectories - b0) in
     let ws = block_workspace_for dims ~cap:batch in
@@ -703,7 +574,7 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     in
     State_block.fill_random_on ws.binput rngs ~support;
     State_block.assign ~dst:ws.bideal ~src:ws.binput;
-    List.iter (fun p -> apply_plan_op_block ws.bideal p) plan.plan_ops;
+    List.iter (fun p -> State_block.apply_kernel ws.bideal p.kernel) plan.plan_ops;
     State_block.assign ~dst:ws.bnoisy ~src:ws.binput;
     let draws = Array.make live 0 in
     let windows = ref 0 and diverged = ref 0 in
@@ -718,7 +589,7 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     List.iter
       (fun p ->
         damp_block p.pre_damp;
-        apply_plan_op_block ws.bnoisy p;
+        State_block.apply_kernel ws.bnoisy p.kernel;
         if p.error_parts <> [] then begin
           windows := !windows + live;
           for k = 0 to live - 1 do
@@ -754,15 +625,20 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
       (fun (c, cnt) -> Telemetry.Metrics.cell_add c (2 * cnt * n))
       plan.plan_dispatch
   in
-  let run_block j ~batch =
+  (* Telemetry does not touch the lanes' RNG streams or the reduction
+     order, so the statistics are bit-identical with it on or off. *)
+  let run_block j =
     if not (Telemetry.active ()) then
-      let samples, _, _ = run_block_raw j ~batch in
+      let samples, _, _ = run_block_raw j in
       samples
     else if not (Telemetry.enabled ()) then begin
-      (* Always-on plane: same hand-inlined shape as [run_trajectory]. *)
+      (* Always-on plane (metrics and/or armed flight recorder, no span
+         collection): hand-inlined so the per-block cost is two unboxed
+         clock reads, the ring stores and the counter flush — no closure,
+         tuple or boxed-float allocation on the way. *)
       let start_us = Clock.now_us () in
       Recorder.record_begin_at "trajectory-block" start_us;
-      match run_block_raw j ~batch with
+      match run_block_raw j with
       | samples, diverged, windows ->
         let end_us = Clock.now_us () in
         Recorder.record_end_at "trajectory-block" end_us;
@@ -777,44 +653,19 @@ let simulate_detailed_body ~config ?domains ?batch (compiled : Physical.t) =
     else begin
       let (samples, diverged, windows), dur =
         Telemetry.Span.with_timed ~name:"trajectory-block" (fun () ->
-            run_block_raw j ~batch)
+            run_block_raw j)
       in
       if Telemetry.metrics_enabled () then flush_block_metrics samples ~diverged ~windows dur;
       samples
     end
   in
-  let domains =
-    match domains with Some d -> max 1 d | None -> Pool.default_domains ()
+  let nblocks = (config.trajectories + batch - 1) / batch in
+  let blocks =
+    if domains <= 1 || nblocks <= 1 then Array.init nblocks run_block
+    else Pool.map_array ~domains (Pool.shared ~domains ()) ~n:nblocks ~f:run_block
   in
-  (* Never allocate wider planes than there are trajectories: a 2-trajectory
-     run with the default width would otherwise sweep 8-lane-stride planes
-     with 6 dead lanes. Lane k's stream depends only on its trajectory
-     index, so clamping changes no statistics. *)
-  let batch = match batch with Some b -> max 1 b | None -> default_batch () in
-  let batch = min batch config.trajectories in
-  let samples =
-    if batch <= 1 || config.trajectories <= 1 then begin
-      if domains <= 1 || config.trajectories <= 1 then
-        Array.init config.trajectories run_trajectory
-      else
-        Pool.map_array ~domains (Pool.shared ~domains ()) ~n:config.trajectories
-          ~f:run_trajectory
-    end
-    else begin
-      let nblocks = (config.trajectories + batch - 1) / batch in
-      let blocks =
-        if domains <= 1 || nblocks <= 1 then Array.init nblocks (run_block ~batch)
-        else
-          Pool.map_array ~domains (Pool.shared ~domains ()) ~n:nblocks
-            ~f:(run_block ~batch)
-      in
-      let samples = Array.make config.trajectories (0., 0., 0) in
-      Array.iteri
-        (fun j arr -> Array.blit arr 0 samples (j * batch) (Array.length arr))
-        blocks;
-      samples
-    end
-  in
+  let samples = Array.make config.trajectories (0., 0., 0) in
+  Array.iteri (fun j arr -> Array.blit arr 0 samples (j * batch) (Array.length arr)) blocks;
   let n = float_of_int config.trajectories in
   let mean = Array.fold_left (fun a (f, _, _) -> a +. f) 0. samples /. n in
   let var =

@@ -26,20 +26,17 @@ val simulate : ?config:config -> ?domains:int -> ?batch:int -> Physical.t -> res
 (** Raises [Invalid_argument] if the compiled circuit exceeds
     [max_devices].
 
-    Trajectories fan out across [domains] OCaml domains (default: the
-    [WALTZ_DOMAINS] environment knob, else the machine's recommended domain
-    count; [1] runs the exact legacy sequential path). Each trajectory owns
-    an independent seed stream ([base_seed + 7919·k]) and results are
-    reduced in trajectory order, so every statistic is bit-identical at
-    every domain count.
-
-    Within a domain, [batch] trajectories run in lockstep over a
+    Trajectories run in lockstep blocks of [batch] lanes over a
     structure-of-arrays state block (default: the [WALTZ_BATCH] environment
-    knob, else {!default_batch}; [1] runs the scalar engine). Each lane
-    keeps its own RNG stream and every batched sweep performs the scalar
-    engine's floating-point operations in the same per-lane order, so the
-    statistics are also bit-identical at every batch width — the
-    determinism suite enforces the full [batch] × [domains] grid. *)
+    knob, else {!default_batch}; clamped to the trajectory count, so width
+    [1] is a one-lane block). Blocks fan out across [domains] OCaml domains
+    (default: the [WALTZ_DOMAINS] environment knob, else the machine's
+    recommended domain count; [1] runs them in order on the caller). Each
+    trajectory owns an independent seed stream ([base_seed + 7919·k]),
+    every sweep performs a lane's floating-point operations in the same
+    order at any width, and results are reduced in trajectory order, so
+    every statistic is bit-identical at every [batch] × [domains] setting —
+    the determinism suite pins the full grid to fixed reference values. *)
 
 val default_batch : unit -> int
 (** The lockstep batch width used when [?batch] is not given: the
@@ -88,16 +85,11 @@ val initial_allowed : Physical.t -> int list array
 (** {1 Byte accounting shared with the resource certificates}
 
     The executor observes its own allocations through these formulas
-    (counters [executor.workspace.bytes], [executor.workspace.block_bytes]
-    and [executor.plan.bytes], flushed when a per-domain workspace or a plan
-    is built), and [Waltz_analysis.Resource] certifies through the same
+    (counters [executor.workspace.block_bytes] and [executor.plan.bytes],
+    flushed when a per-domain workspace or a plan is built), and [Waltz_analysis.Resource] certifies through the same
     ones, so the soundness invariant "certified >= observed" cannot be
     broken by the two sides counting different things. All figures are
     array payload bytes (8 per float or int word), headers excluded. *)
-
-val workspace_bytes : dims:int array -> int
-(** Payload bytes of one domain's scalar trajectory workspace (the
-    input/ideal/noisy state triple) for a register shape. *)
 
 val block_workspace_bytes : dims:int array -> cap:int -> int
 (** Payload bytes of one domain's lockstep workspace at batch width [cap]

@@ -19,7 +19,7 @@ let pauli_mutex = Mutex.create ()
    check-and-fill must be atomic. The returned arrays are never mutated. *)
 let pauli_set ~d =
   Mutex.lock pauli_mutex;
-  Sanitize.Lock.acquire "noise.pauli_mutex";
+  let held = Sanitize.Lock.acquire "noise.pauli_mutex" in
   let set =
     match Hashtbl.find_opt pauli_table d with
     | Some set ->
@@ -31,7 +31,7 @@ let pauli_set ~d =
       Hashtbl.add pauli_table d set;
       set
   in
-  Sanitize.Lock.release "noise.pauli_mutex";
+  Sanitize.Lock.release "noise.pauli_mutex" held;
   Mutex.unlock pauli_mutex;
   set
 
@@ -72,7 +72,7 @@ let damping_cache model ~d =
   let table_mutex = Mutex.create () in
   fun dt_ns ->
     Mutex.lock table_mutex;
-    Sanitize.Lock.acquire "noise.damping_cache.m";
+    let held = Sanitize.Lock.acquire "noise.damping_cache.m" in
     let lambdas, hit =
       match Hashtbl.find_opt table dt_ns with
       | Some lambdas ->
@@ -84,7 +84,7 @@ let damping_cache model ~d =
         Hashtbl.add table dt_ns lambdas;
         (lambdas, false)
     in
-    Sanitize.Lock.release "noise.damping_cache.m";
+    Sanitize.Lock.release "noise.damping_cache.m" held;
     Mutex.unlock table_mutex;
     Waltz_telemetry.Telemetry.Metrics.incr
       (if hit then "noise.damping_cache.hit" else "noise.damping_cache.miss");

@@ -32,17 +32,17 @@ type t = {
 (* Sanitizer shims for [m]: the acquire shim runs after [Mutex.lock]
    returns and the release shim before [Mutex.unlock], so the recorder sees
    handoffs in true acquisition order. [Condition.wait] atomically releases
-   and reacquires, hence the bracket. *)
+   and reacquires, hence the bracket, which hands back a fresh token. *)
 let lock_m pool =
   Mutex.lock pool.m;
   Sanitize.Lock.acquire "pool.m"
 
-let unlock_m pool =
-  Sanitize.Lock.release "pool.m";
+let unlock_m pool held =
+  Sanitize.Lock.release "pool.m" held;
   Mutex.unlock pool.m
 
-let wait_on pool cv =
-  Sanitize.Lock.release "pool.m";
+let wait_on pool cv held =
+  Sanitize.Lock.release "pool.m" held;
   Condition.wait cv pool.m;
   Sanitize.Lock.acquire "pool.m"
 
@@ -97,17 +97,17 @@ let participate ?(stolen = false) pool job =
     Waltz_telemetry.Telemetry.Metrics.incr ~by:!claimed "pool.items";
     if stolen then Waltz_telemetry.Telemetry.Metrics.incr ~by:!claimed "pool.items.stolen"
   end;
-  lock_m pool;
+  let held = lock_m pool in
   Sanitize.Shared.write "pool.job";
   job.active <- job.active - 1;
   if job.active = 0 then Condition.broadcast pool.done_cv;
-  unlock_m pool
+  unlock_m pool held
 
 let worker pool =
   let last_gen = ref 0 in
   let running = ref true in
   while !running do
-    lock_m pool;
+    let held = ref (lock_m pool) in
     let job = ref None in
     while !job = None && not pool.stopping do
       Sanitize.Shared.read "pool.current";
@@ -128,9 +128,9 @@ let worker pool =
           job := Some j
         end
       | _ -> ());
-      if !job = None && not pool.stopping then wait_on pool pool.work_cv
+      if !job = None && not pool.stopping then held := wait_on pool pool.work_cv !held
     done;
-    unlock_m pool;
+    unlock_m pool !held;
     match !job with
     | None -> running := false
     | Some j -> participate ~stolen:true pool j
@@ -162,10 +162,10 @@ let create ?workers () =
 let size pool = pool.n_workers + 1
 
 let shutdown pool =
-  lock_m pool;
+  let held = lock_m pool in
   pool.stopping <- true;
   Condition.broadcast pool.work_cv;
-  unlock_m pool;
+  unlock_m pool held;
   List.iter
     (fun (handle, token) ->
       Domain.join handle;
@@ -224,26 +224,26 @@ let map_array ?domains pool ~n ~f =
         failure = Atomic.make None;
         published_us = (if telemetry_on then Waltz_telemetry.Telemetry.now_us () else 0.) }
     in
-    lock_m pool;
+    let held = lock_m pool in
     if pool.current <> None then begin
-      unlock_m pool;
+      unlock_m pool held;
       invalid_arg "Pool.map_array: pool is already running a job"
     end;
     pool.gen <- pool.gen + 1;
     Sanitize.Shared.write "pool.current";
     pool.current <- Some (pool.gen, job);
     Condition.broadcast pool.work_cv;
-    unlock_m pool;
+    unlock_m pool held;
     participate pool job;
-    lock_m pool;
+    let held = ref (lock_m pool) in
     Sanitize.Shared.write "pool.job";
     job.seats <- 0;
     while job.active > 0 do
-      wait_on pool pool.done_cv
+      held := wait_on pool pool.done_cv !held
     done;
     Sanitize.Shared.write "pool.current";
     pool.current <- None;
-    unlock_m pool;
+    unlock_m pool !held;
     match Atomic.get job.failure with Some e -> raise e | None -> ()
   end;
   Array.init n (fun i ->
@@ -289,7 +289,7 @@ let shared ?domains () =
   | Some (pool, w) when w >= workers -> pool
   | _ ->
     Mutex.lock shared_mutex;
-    Sanitize.Lock.acquire "pool.shared_mutex";
+    let held = Sanitize.Lock.acquire "pool.shared_mutex" in
     let pool =
       match Atomic.get shared_state with
       | Some (pool, w) when w >= workers -> pool
@@ -299,6 +299,6 @@ let shared ?domains () =
         (match prev with Some (old, _) -> shutdown old | None -> ());
         pool
     in
-    Sanitize.Lock.release "pool.shared_mutex";
+    Sanitize.Lock.release "pool.shared_mutex" held;
     Mutex.unlock shared_mutex;
     pool

@@ -20,30 +20,35 @@ let unguarded_cache_write () =
    particular interleaving may never race. *)
 let inconsistent_lockset () =
   as_thread 0 (fun () ->
-      Sanitize.Lock.acquire "fixture.lock_a";
+      let a = Sanitize.Lock.acquire "fixture.lock_a" in
       Sanitize.Shared.write "fixture.shared";
-      Sanitize.Lock.release "fixture.lock_a");
+      Sanitize.Lock.release "fixture.lock_a" a);
   as_thread 1 (fun () ->
-      Sanitize.Lock.acquire "fixture.lock_b";
+      let b = Sanitize.Lock.acquire "fixture.lock_b" in
       Sanitize.Shared.write "fixture.shared";
-      Sanitize.Lock.release "fixture.lock_b")
+      Sanitize.Lock.release "fixture.lock_b" b)
 
 (* Opposite nesting orders for the same two locks: the acquisition graph
    gets the cycle a -> b -> a. *)
 let lock_order_inversion () =
   as_thread 0 (fun () ->
-      Sanitize.Lock.acquire "fixture.outer";
-      Sanitize.Lock.acquire "fixture.inner";
-      Sanitize.Lock.release "fixture.inner";
-      Sanitize.Lock.release "fixture.outer");
+      let outer = Sanitize.Lock.acquire "fixture.outer" in
+      let inner = Sanitize.Lock.acquire "fixture.inner" in
+      Sanitize.Lock.release "fixture.inner" inner;
+      Sanitize.Lock.release "fixture.outer" outer);
   as_thread 1 (fun () ->
-      Sanitize.Lock.acquire "fixture.inner";
-      Sanitize.Lock.acquire "fixture.outer";
-      Sanitize.Lock.release "fixture.outer";
-      Sanitize.Lock.release "fixture.inner")
+      let inner = Sanitize.Lock.acquire "fixture.inner" in
+      let outer = Sanitize.Lock.acquire "fixture.outer" in
+      Sanitize.Lock.release "fixture.outer" outer;
+      Sanitize.Lock.release "fixture.inner" inner)
 
-(* Releasing a mutex the thread never acquired. *)
-let unbalanced_release () = as_thread 0 (fun () -> Sanitize.Lock.release "fixture.stray")
+(* Releasing a mutex twice: the second release, judged in the epoch that
+   recorded the acquisition, finds the lock no longer held. *)
+let unbalanced_release () =
+  as_thread 0 (fun () ->
+      let held = Sanitize.Lock.acquire "fixture.stray" in
+      Sanitize.Lock.release "fixture.stray" held;
+      Sanitize.Lock.release "fixture.stray" held)
 
 (* A per-domain arena created by one thread and touched by another. *)
 let cross_domain_arena () =

@@ -9,10 +9,18 @@
    are leaves, never nested, so the recorder cannot deadlock with the code
    it watches. *)
 
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
+(* The enable flag and the enable epoch share one atomic word: odd means
+   enabled, and every switch bumps it, so each enabled window has its own
+   epoch and a shim still reads a single atomic. *)
+let state = Atomic.make 0
+let enabled () = Atomic.get state land 1 = 1
+
+let rec switch on =
+  let s = Atomic.get state in
+  if s land 1 = 1 <> on && not (Atomic.compare_and_set state s (s + 1)) then switch on
+
+let enable () = switch true
+let disable () = switch false
 
 let mu = Mutex.create ()
 
@@ -64,7 +72,9 @@ let current_tid_locked () =
 
 type thread_state = {
   mutable clock : int array;
-  mutable held : string list;  (* locks held, innermost first *)
+  mutable held : (string * int) list;
+      (* locks held, innermost first, each with the epoch that recorded
+         its acquisition *)
 }
 
 type lock_state = { mutable l_clock : int array }
@@ -152,7 +162,7 @@ let site_of key =
     Hashtbl.add sites key s;
     s
 
-let held_outermost_first th = List.rev th.held
+let held_outermost_first th = List.rev_map fst th.held
 
 let anchor_of tid th =
   match held_outermost_first th with
@@ -161,7 +171,7 @@ let anchor_of tid th =
 
 module Tid = struct
   let current () =
-    if not (Atomic.get enabled_flag) then -1
+    if not (enabled ()) then -1
     else begin
       Mutex.lock mu;
       let t = current_tid_locked () in
@@ -176,35 +186,49 @@ module Tid = struct
     Fun.protect ~finally:(fun () -> slot := saved) f
 end
 
+(* Callers must hold [mu]. Entries recorded in an earlier epoch were
+   released, or may have been, while the recorder was off. *)
+let held_in th epoch = th.held <- List.filter (fun (_, e) -> e = epoch) th.held
+
 module Lock = struct
+  type token = int
+
   let acquire name =
-    if Atomic.get enabled_flag then begin
+    let epoch = Atomic.get state in
+    if epoch land 1 = 1 then begin
       Mutex.lock mu;
       let tid = current_tid_locked () in
       let th = thread_of tid in
-      if List.mem name th.held then
+      held_in th epoch;
+      if List.mem_assoc name th.held then
         report "LOCK02" name
           (Printf.sprintf "recursive acquisition of lock %s" name)
           [ anchor_of tid th ];
       (* Lock-order edges from every lock already held. *)
       let witness = held_outermost_first th @ [ name ] in
       List.iter
-        (fun h ->
+        (fun (h, _) ->
           if h <> name && not (Hashtbl.mem lock_edges (h, name)) then
             Hashtbl.add lock_edges (h, name) witness)
         th.held;
       let l = lock_of name in
       th.clock <- vc_join th.clock l.l_clock;
-      th.held <- name :: th.held;
+      th.held <- (name, epoch) :: th.held;
       Mutex.unlock mu
-    end
+    end;
+    epoch
 
-  let release name =
-    if Atomic.get enabled_flag then begin
+  let release name acquired =
+    let epoch = Atomic.get state in
+    if epoch land 1 = 1 then begin
       Mutex.lock mu;
       let tid = current_tid_locked () in
       let th = thread_of tid in
-      if not (List.mem name th.held) then
+      held_in th epoch;
+      (* Only an acquisition recorded in this epoch can be judged: a lock
+         taken while the recorder was off (or in an earlier window) is
+         released without a held-stack entry, and that is no finding. *)
+      if acquired = epoch && not (List.mem_assoc name th.held) then
         report "LOCK02" name
           (Printf.sprintf "release of lock %s which the thread does not hold" name)
           [ anchor_of tid th ]
@@ -212,7 +236,8 @@ module Lock = struct
         (* Drop the innermost occurrence only. *)
         let rec drop = function
           | [] -> []
-          | h :: rest -> if h = name then rest else h :: drop rest
+          | (h, _) :: rest when h = name -> rest
+          | e :: rest -> e :: drop rest
         in
         th.held <- drop th.held;
         let l = lock_of name in
@@ -227,11 +252,13 @@ end
 
 module Shared = struct
   let access ~is_write site index =
-    if Atomic.get enabled_flag then begin
+    let epoch = Atomic.get state in
+    if epoch land 1 = 1 then begin
       Mutex.lock mu;
       incr n_accesses;
       let tid = current_tid_locked () in
       let th = thread_of tid in
+      held_in th epoch;
       let st = site_of (site, index) in
       let label =
         if index < 0 then site else Printf.sprintf "%s[%d]" site index
@@ -262,7 +289,7 @@ module Shared = struct
          after everything previous by a new thread takes clean ownership
          (fork/join handoff is not a lock-discipline violation). *)
       if m = Lockset || m = Both then begin
-        let held = List.sort_uniq compare th.held in
+        let held = List.sort_uniq compare (List.map fst th.held) in
         if ordered && not (List.mem tid st.s_tids) then begin
           st.s_tids <- [ tid ];
           st.s_lockset <- Some held;
@@ -309,7 +336,7 @@ module Domains = struct
   type token = { d_snapshot : int array; d_live : bool; mutable d_child : int }
 
   let fork () =
-    if not (Atomic.get enabled_flag) then { d_snapshot = [||]; d_live = false; d_child = -1 }
+    if not (enabled ()) then { d_snapshot = [||]; d_live = false; d_child = -1 }
     else begin
       Mutex.lock mu;
       let tid = current_tid_locked () in
@@ -323,7 +350,7 @@ module Domains = struct
     end
 
   let spawned token =
-    if token.d_live && Atomic.get enabled_flag then begin
+    if token.d_live && enabled () then begin
       Mutex.lock mu;
       let tid = current_tid_locked () in
       let th = thread_of tid in
@@ -333,7 +360,7 @@ module Domains = struct
     end
 
   let join token =
-    if token.d_live && token.d_child >= 0 && Atomic.get enabled_flag then begin
+    if token.d_live && token.d_child >= 0 && enabled () then begin
       Mutex.lock mu;
       let tid = current_tid_locked () in
       let th = thread_of tid in
@@ -361,14 +388,14 @@ module Arena = struct
     Printf.sprintf "%s %d" (if is_virtual then "virtual thread" else "domain") id
 
   let create name =
-    if not (Atomic.get enabled_flag) then { a_name = name; a_key = None }
+    if not (enabled ()) then { a_name = name; a_key = None }
     else { a_name = name; a_key = Some (raw_key ()) }
 
   let touch token =
     match token.a_key with
     | None -> ()
     | Some owner ->
-      if Atomic.get enabled_flag then begin
+      if enabled () then begin
         let k = raw_key () in
         if k <> owner then begin
           Mutex.lock mu;

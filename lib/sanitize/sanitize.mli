@@ -58,17 +58,24 @@ module Tid : sig
 end
 
 module Lock : sig
-  val acquire : string -> unit
+  type token = private int
+  (** The enable epoch an acquisition was recorded in (or the disabled
+      window it was skipped in). Every {!enable} opens a new epoch. *)
+
+  val acquire : string -> token
   (** Record that the calling thread acquired the lock named [s]: the
       thread's clock absorbs the lock's clock (happens-before), the lock is
       pushed on the thread's held stack, and a lock-order edge is added from
       every lock already held. Acquiring a lock already held by the same
-      thread is a LOCK02 finding. *)
+      thread in the same epoch is a LOCK02 finding. Returns the token the
+      matching {!release} must pass. *)
 
-  val release : string -> unit
+  val release : string -> token -> unit
   (** Record the release: the lock's clock becomes the thread's clock and
       the thread's clock ticks. Releasing a lock the thread does not hold is
-      a LOCK02 finding. *)
+      a LOCK02 finding when the token's acquisition was recorded in the
+      current epoch; a lock acquired before {!enable} (its acquisition never
+      recorded) is released without a finding. *)
 end
 
 module Shared : sig

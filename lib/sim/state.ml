@@ -77,24 +77,6 @@ let fill_random_supported s rng ~allowed =
   done;
   Vec.normalize_in_place v
 
-(* Refill on a precomputed ascending support-index list. The draw order (re
-   then im per listed index) is exactly [fill_random_supported]'s when
-   [support] enumerates that call's supported indices in ascending order, so
-   the RNG stream — and hence the state — is bit-identical; the support test
-   itself is hoisted to whoever built the list (once per plan, not once per
-   trajectory). *)
-let fill_random_on s rng ~support =
-  let v = s.vec in
-  let n = Vec.dim v in
-  Array.fill v.Vec.re 0 n 0.;
-  Array.fill v.Vec.im 0 n 0.;
-  for i = 0 to Array.length support - 1 do
-    let idx = support.(i) in
-    v.Vec.re.(idx) <- Rng.gaussian rng;
-    v.Vec.im.(idx) <- Rng.gaussian rng
-  done;
-  Vec.normalize_in_place v
-
 let random_supported rng ~dims ~allowed =
   if Array.length allowed <> Array.length dims then invalid_arg "State.random_supported";
   let nw = Array.length dims in
@@ -108,12 +90,6 @@ let random_supported rng ~dims ~allowed =
   s
 
 let copy s = { s with vec = Vec.copy s.vec }
-
-let assign ~dst ~src =
-  if dst.dims <> src.dims then invalid_arg "State.assign: dimension mismatch";
-  let n = Vec.dim src.vec in
-  Array.blit src.vec.Vec.re 0 dst.vec.Vec.re 0 n;
-  Array.blit src.vec.Vec.im 0 dst.vec.Vec.im 0 n
 
 let dims s = Array.copy s.dims
 let dim_total s = Vec.dim s.vec
@@ -365,7 +341,6 @@ let damp s rng ~wire ~lambdas =
     invalid_arg "State.damp: lambda count mismatch";
   damp_with s rng ~wire ~lambdas ~scales:(damp_scales lambdas)
 
-let overlap2 a b = Vec.overlap2 a.vec b.vec
 let norm s = Vec.norm s.vec
 let normalize s = Vec.normalize_in_place s.vec
 

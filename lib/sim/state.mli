@@ -36,18 +36,7 @@ val fill_random_supported : t -> Rng.t -> allowed:bool array array -> unit
     trajectories carries nothing over; the RNG draw order is identical to
     {!random_supported}. *)
 
-val fill_random_on : t -> Rng.t -> support:int array -> unit
-(** Like {!fill_random_supported}, but over a precomputed ascending list of
-    supported amplitude indices — the per-index support test is paid once by
-    whoever builds the list instead of once per trajectory. Bit-identical to
-    {!fill_random_supported} when [support] enumerates its supported
-    indices. *)
-
 val copy : t -> t
-
-val assign : dst:t -> src:t -> unit
-(** Copies [src]'s amplitudes into [dst] (same wire dimensions required) —
-    the reuse-friendly counterpart of {!copy}. *)
 
 val dims : t -> int array
 
@@ -87,9 +76,6 @@ val damp_with :
 (** {!damp} with the no-jump scales precomputed ([scales = damp_scales
     lambdas]); draws the same jump choice and produces the same bits, with
     no per-call allocation (scratch comes from the per-domain arena). *)
-
-val overlap2 : t -> t -> float
-(** |⟨a|b⟩|² — fidelity between pure states. *)
 
 val norm : t -> float
 

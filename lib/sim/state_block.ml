@@ -140,11 +140,10 @@ let fill_random_supported t rngs ~allowed =
     normalize_lane t k
   done
 
-(* Refill on a precomputed ascending support-index list — the SoA
-   counterpart of [State.fill_random_on]. Per lane the draws happen in the
-   same order as [fill_random_supported] with that lane's RNG, so the
-   streams are bit-identical; the support sweep itself is gone from the
-   per-block cost. *)
+(* Refill on a precomputed ascending support-index list. Per lane the draws
+   happen in the same order as [fill_random_supported] with that lane's
+   RNG, so the streams are bit-identical; the support sweep itself is gone
+   from the per-block cost. *)
 let fill_random_on t rngs ~support =
   if Array.length rngs < t.live then
     invalid_arg "State_block.fill_random_on: rng count mismatch";

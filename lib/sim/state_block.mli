@@ -69,8 +69,8 @@ val fill_random_supported : t -> Rng.t array -> allowed:bool array array -> unit
 
 val fill_random_on : t -> Rng.t array -> support:int array -> unit
 (** Like {!fill_random_supported}, over a precomputed ascending list of
-    supported amplitude indices (see {!State.fill_random_on}) — bit-identical
-    streams, no per-block support sweep. *)
+    supported amplitude indices — bit-identical streams when [support]
+    enumerates the supported indices, and no per-block support sweep. *)
 
 val apply_kernel : t -> Kernel.t -> unit
 (** Lockstep application of a compiled kernel to all live lanes

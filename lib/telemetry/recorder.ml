@@ -61,8 +61,8 @@ let lock_registry () =
   Mutex.lock registry_mutex;
   Sanitize.Lock.acquire "recorder.registry_mutex"
 
-let unlock_registry () =
-  Sanitize.Lock.release "recorder.registry_mutex";
+let unlock_registry held =
+  Sanitize.Lock.release "recorder.registry_mutex" held;
   Mutex.unlock registry_mutex
 
 let make_ring () =
@@ -72,10 +72,10 @@ let make_ring () =
       kinds = Array.make cap 0; names = Array.make cap "";
       times = Array.make cap 0.; values = Array.make cap 0; pos = 0; total = 0 }
   in
-  lock_registry ();
+  let held = lock_registry () in
   Sanitize.Shared.write "recorder.registry";
   registry := r :: !registry;
-  unlock_registry ();
+  unlock_registry held;
   r
 
 let ring_key : ring ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref (make_ring ()))
@@ -146,10 +146,10 @@ let snapshot_ring r =
         t_us = r.times.(slot); value = r.values.(slot) })
 
 let events () =
-  lock_registry ();
+  let held = lock_registry () in
   Sanitize.Shared.read "recorder.registry";
   let rings = !registry in
-  unlock_registry ();
+  unlock_registry held;
   let current = Atomic.get epoch in
   rings
   |> List.filter (fun r -> r.ring_epoch = current && r.total > 0)

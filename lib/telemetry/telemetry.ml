@@ -57,8 +57,8 @@ let lock_state () =
   Mutex.lock state_mutex;
   Sanitize.Lock.acquire "telemetry.state_mutex"
 
-let unlock_state () =
-  Sanitize.Lock.release "telemetry.state_mutex";
+let unlock_state held =
+  Sanitize.Lock.release "telemetry.state_mutex" held;
   Mutex.unlock state_mutex
 
 module Span = struct
@@ -87,17 +87,17 @@ module Span = struct
     Domain.DLS.new_key (fun () ->
         let stack = ref [] in
         let track = (Domain.self () :> int) in
-        lock_state ();
+        let held = lock_state () in
         Sanitize.Shared.write "telemetry.stacks";
         Hashtbl.replace stacks_tbl track stack;
-        unlock_state ();
+        unlock_state held;
         stack)
 
   let live_stacks () =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.stacks";
     let l = Hashtbl.fold (fun track stack acc -> (track, !stack) :: acc) stacks_tbl [] in
-    unlock_state ();
+    unlock_state held;
     List.sort (fun (a, _) (b, _) -> compare a b) l
 
   (* The instrumented body shared by [with_] and [with_timed], entered only
@@ -118,10 +118,10 @@ module Span = struct
           { name; track = (Domain.self () :> int); start_us;
             dur_us = end_us -. start_us; depth; parent; args }
         in
-        lock_state ();
+        let held = lock_state () in
         Sanitize.Shared.write "telemetry.spans";
         completed := span :: !completed;
-        unlock_state ()
+        unlock_state held
       end
 
   let instrumented ~args ~name f =
@@ -159,10 +159,10 @@ module Span = struct
   let with_timed ?(args = []) ~name f = instrumented ~args ~name f
 
   let all () =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.spans";
     let spans = List.rev !completed in
-    unlock_state ();
+    unlock_state held;
     spans
 
   type aggregate = { agg_name : string; count : int; total_us : float; max_us : float }
@@ -204,7 +204,7 @@ module Metrics = struct
   let cells_tbl : (string, cell) Hashtbl.t = Hashtbl.create 16
 
   let cell name =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.write "telemetry.cells";
     let c =
       match Hashtbl.find_opt cells_tbl name with
@@ -214,7 +214,7 @@ module Metrics = struct
         Hashtbl.add cells_tbl name c;
         c
     in
-    unlock_state ();
+    unlock_state held;
     c
 
   let cell_incr ?(by = 1) c =
@@ -247,7 +247,7 @@ module Metrics = struct
   let series_tbl : (string, series) Hashtbl.t = Hashtbl.create 8
 
   let series name =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.write "telemetry.series";
     let s =
       match Hashtbl.find_opt series_tbl name with
@@ -260,16 +260,16 @@ module Metrics = struct
         Hashtbl.add series_tbl name s;
         s
     in
-    unlock_state ();
+    unlock_state held;
     s
 
   let register_shard s epoch =
     let sk = Sketch.create () in
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.write "telemetry.series";
     (* Prune shards orphaned by reset while we are here (cold path). *)
     s.se_shards <- (epoch, sk) :: List.filter (fun (e, _) -> e = epoch) s.se_shards;
-    unlock_state ();
+    unlock_state held;
     sk
 
   let series_observe s v =
@@ -290,17 +290,17 @@ module Metrics = struct
 
   let incr ?(by = 1) name =
     if Atomic.get metrics_flag then begin
-      lock_state ();
+      let held = lock_state () in
       Sanitize.Shared.write "telemetry.counters";
       let cur = Option.value ~default:0 (Hashtbl.find_opt counters_tbl name) in
       Hashtbl.replace counters_tbl name (cur + by);
-      unlock_state ()
+      unlock_state held
     end;
     Recorder.record_count name by
 
   let observe name v =
     if Atomic.get metrics_flag then begin
-      lock_state ();
+      let held = lock_state () in
       Sanitize.Shared.write "telemetry.hists";
       let h =
         match Hashtbl.find_opt hists_tbl name with
@@ -311,19 +311,19 @@ module Metrics = struct
           h
       in
       Sketch.observe h v;
-      unlock_state ()
+      unlock_state held
     end
 
   let set_gauge name v =
     if Atomic.get metrics_flag then begin
-      lock_state ();
+      let held = lock_state () in
       Sanitize.Shared.write "telemetry.gauges";
       Hashtbl.replace gauges_tbl name v;
-      unlock_state ()
+      unlock_state held
     end
 
   let counter name =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.counters";
     let v = Option.value ~default:0 (Hashtbl.find_opt counters_tbl name) in
     let v =
@@ -331,11 +331,11 @@ module Metrics = struct
       | Some c -> v + Atomic.get c
       | None -> v
     in
-    unlock_state ();
+    unlock_state held;
     v
 
   let counters () =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.counters";
     let tbl = Hashtbl.copy counters_tbl in
     Hashtbl.iter
@@ -344,21 +344,21 @@ module Metrics = struct
         if v <> 0 then
           Hashtbl.replace tbl name (v + Option.value ~default:0 (Hashtbl.find_opt tbl name)))
       cells_tbl;
-    unlock_state ();
+    unlock_state held;
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
   let gauge name =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.gauges";
     let v = Hashtbl.find_opt gauges_tbl name in
-    unlock_state ();
+    unlock_state held;
     v
 
   let gauges () =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.gauges";
     let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauges_tbl [] in
-    unlock_state ();
+    unlock_state held;
     List.sort compare l
 
   type histogram = {
@@ -381,21 +381,21 @@ module Metrics = struct
   (* Merge a series' live shards. Shard contents are read without
      synchronizing with their owning domains (see the [series] comment). *)
   let series_sketch s =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.series";
     let epoch = Atomic.get s.se_epoch in
     let shards =
       List.filter_map (fun (e, sk) -> if e = epoch then Some sk else None) s.se_shards
     in
-    unlock_state ();
+    unlock_state held;
     List.fold_left Sketch.merge (Sketch.create ()) shards
 
   let histogram name =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.hists";
     let direct = Hashtbl.find_opt hists_tbl name in
     let se = Hashtbl.find_opt series_tbl name in
-    unlock_state ();
+    unlock_state held;
     match (direct, se) with
     | None, None -> None
     | Some h, None -> Some (snapshot h)
@@ -405,11 +405,11 @@ module Metrics = struct
     | Some h, Some s -> Some (snapshot (Sketch.merge h (series_sketch s)))
 
   let histograms () =
-    lock_state ();
+    let held = lock_state () in
     Sanitize.Shared.read "telemetry.hists";
     let tbl = Hashtbl.copy hists_tbl in
     let all_series = Hashtbl.fold (fun _ s acc -> s :: acc) series_tbl [] in
-    unlock_state ();
+    unlock_state held;
     List.iter
       (fun s ->
         let h = series_sketch s in
@@ -430,7 +430,7 @@ module Metrics = struct
 end
 
 let reset () =
-  lock_state ();
+  let held = lock_state () in
   Sanitize.Shared.write "telemetry.spans";
   Sanitize.Shared.write "telemetry.counters";
   Sanitize.Shared.write "telemetry.hists";
@@ -449,7 +449,7 @@ let reset () =
       Atomic.incr s.Metrics.se_epoch;
       s.Metrics.se_shards <- [])
     Metrics.series_tbl;
-  unlock_state ()
+  unlock_state held
 
 (* ---- exports ---- *)
 

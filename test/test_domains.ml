@@ -1,9 +1,10 @@
-(* Standalone determinism harness, run under several WALTZ_DOMAINS settings
-   by the dune [determinism] alias. For a grid of benchmark circuits and
-   compilation strategies it checks that the env-default execution, the
-   forced-sequential path ([~domains:1]) and a forced multi-domain fan-out
-   ([~domains:3]) all produce bit-identical statistics. Exits non-zero on
-   the first mismatch. *)
+(* Standalone determinism harness, run under several WALTZ_DOMAINS,
+   WALTZ_BATCH and WALTZ_FLIGHT settings by the dune [determinism] alias.
+   For a grid of benchmark circuits and compilation strategies it checks
+   that the env-default execution, the forced-sequential path
+   ([~domains:1]), a forced multi-domain fan-out ([~domains:3]) and every
+   batch width all reproduce the pinned reference statistics bit for bit.
+   Exits non-zero after reporting every mismatch. *)
 open Waltz_circuit
 open Waltz_noise
 open Waltz_core
@@ -13,7 +14,7 @@ let failures = ref 0
 let check label a b =
   if not (Float.equal a b) then begin
     incr failures;
-    Printf.eprintf "MISMATCH %s: %.17g <> %.17g\n" label a b
+    Printf.eprintf "MISMATCH %s: %h <> %h\n" label a b
   end
 
 let check_string label a b =
@@ -21,6 +22,29 @@ let check_string label a b =
     incr failures;
     Printf.eprintf "MISMATCH %s: serialized reports differ\n" label
   end
+
+(* (mean_fidelity, sem, mean_leakage, mean_error_draws) per (circuit,
+   strategy) at 6 trajectories, seed 11, default noise model, as produced by
+   the per-trajectory scalar engine this executor replaced. *)
+let pinned =
+  [ (("toffoli", "qubit-only"),
+     (0x1.ffff6e95b7e95p-1, 0x1.921a309434327p-22, -0x1.5555555555555p-55, 0x0p+0));
+    (("toffoli", "mr-ccz"),
+     (0x1.ffffd03f15773p-1, 0x1.8b32cb462ebf7p-25, -0x1.aaaaaaaaaaaabp-54, 0x0p+0));
+    (("toffoli", "full-ququart"),
+     (0x1.abd5f92d0c4cfp-1, 0x1.50a7ea12a63cep-3, -0x1.aaaaaaaaaaaabp-54, 0x0p+0));
+    (("cnu5", "qubit-only"),
+     (0x1.017984d197c7cp-1, 0x1.c72bc99326a14p-3, 0x1p-54, 0x1.5555555555555p-1));
+    (("cnu5", "mr-ccz"),
+     (0x1.fff2590a5d84fp-1, 0x1.99a65ca84ed2p-18, 0x1.d555555555555p-53, 0x0p+0));
+    (("cnu5", "full-ququart"),
+     (0x1.fff97480ec0e1p-1, 0x1.4ba16d0a06212p-18, 0x1.2aaaaaaaaaaabp-53, 0x0p+0));
+    (("cuccaro5", "qubit-only"),
+     (0x1.565dc29b0a0e5p-1, 0x1.ad0fa8409afedp-3, 0x1.5555555555555p-54, 0x1.5555555555555p-2));
+    (("cuccaro5", "mr-ccz"),
+     (0x1.5acb2782ea088p-1, 0x1.a2235762e1c76p-3, 0x1.297e1a850cf07p-4, 0x1.5555555555555p-2));
+    (("cuccaro5", "full-ququart"),
+     (0x1.ffffd41d65d09p-1, 0x1.1d7db6c5d853fp-24, -0x1.d555555555555p-53, 0x0p+0)) ]
 
 let () =
   let circuits =
@@ -56,24 +80,19 @@ let () =
           check_string (lc "compile-cache-hit") fresh
             (Physical.dump (Compile.compile strategy circuit));
           check_string (lc "compile-vs-initial") fresh (Physical.dump compiled);
-          let default_run = Executor.simulate_detailed ~config compiled in
+          let f, sem, leak, draws = List.assoc (cname, strategy.Strategy.name) pinned in
           let compare tag other =
             let l field = Printf.sprintf "%s/%s %s %s" cname strategy.Strategy.name tag field in
-            check (l "mean_fidelity")
-              default_run.Executor.summary.Executor.mean_fidelity
-              other.Executor.summary.Executor.mean_fidelity;
-            check (l "sem") default_run.Executor.summary.Executor.sem
-              other.Executor.summary.Executor.sem;
-            check (l "mean_leakage") default_run.Executor.mean_leakage
-              other.Executor.mean_leakage;
-            check (l "mean_error_draws") default_run.Executor.mean_error_draws
-              other.Executor.mean_error_draws
+            check (l "mean_fidelity") f other.Executor.summary.Executor.mean_fidelity;
+            check (l "sem") sem other.Executor.summary.Executor.sem;
+            check (l "mean_leakage") leak other.Executor.mean_leakage;
+            check (l "mean_error_draws") draws other.Executor.mean_error_draws
           in
+          compare "env-default" (Executor.simulate_detailed ~config compiled);
           compare "domains=1" (Executor.simulate_detailed ~config ~domains:1 compiled);
           compare "domains=3" (Executor.simulate_detailed ~config ~domains:3 compiled);
-          (* The lockstep SoA engine must be bit-identical to the scalar
-             engine at every batch width × domain count (the env default
-             above already ran at WALTZ_BATCH or width 8). *)
+          (* Every batch width × domain count lands on the same bits (the
+             env default above already ran at WALTZ_BATCH or width 8). *)
           List.iter
             (fun batch ->
               compare

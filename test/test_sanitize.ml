@@ -32,8 +32,7 @@ let disabled_no_op () =
   check_bool "flag off" false (Sanitize.enabled ());
   Sanitize.Shared.write "ghost";
   Sanitize.Shared.read_idx "ghost.arr" 3;
-  Sanitize.Lock.acquire "ghost.m";
-  Sanitize.Lock.release "ghost.m";
+  Sanitize.Lock.release "ghost.m" (Sanitize.Lock.acquire "ghost.m");
   let tok = Sanitize.Domains.fork () in
   Sanitize.Domains.spawned tok;
   Sanitize.Domains.join tok;
@@ -47,9 +46,9 @@ let disabled_no_op () =
 let hb_lock_handoff_ordered () =
   with_sanitizer ~mode:Sanitize.Happens_before (fun () ->
       let guarded () =
-        Sanitize.Lock.acquire "m";
+        let m = Sanitize.Lock.acquire "m" in
         Sanitize.Shared.write "x";
-        Sanitize.Lock.release "m"
+        Sanitize.Lock.release "m" m
       in
       vt 0 guarded;
       vt 1 guarded;
@@ -87,9 +86,9 @@ let hb_fork_join_ordered () =
 let lockset_discipline () =
   with_sanitizer ~mode:Sanitize.Lockset (fun () ->
       let guarded () =
-        Sanitize.Lock.acquire "m";
+        let m = Sanitize.Lock.acquire "m" in
         Sanitize.Shared.write "x";
-        Sanitize.Lock.release "m"
+        Sanitize.Lock.release "m" m
       in
       vt 0 guarded;
       vt 1 guarded;
@@ -114,15 +113,15 @@ let indexed_sites_independent () =
 let lock_order_cycle () =
   with_sanitizer (fun () ->
       vt 0 (fun () ->
-          Sanitize.Lock.acquire "a";
-          Sanitize.Lock.acquire "b";
-          Sanitize.Lock.release "b";
-          Sanitize.Lock.release "a");
+          let a = Sanitize.Lock.acquire "a" in
+          let b = Sanitize.Lock.acquire "b" in
+          Sanitize.Lock.release "b" b;
+          Sanitize.Lock.release "a" a);
       vt 1 (fun () ->
-          Sanitize.Lock.acquire "b";
-          Sanitize.Lock.acquire "a";
-          Sanitize.Lock.release "a";
-          Sanitize.Lock.release "b");
+          let b = Sanitize.Lock.acquire "b" in
+          let a = Sanitize.Lock.acquire "a" in
+          Sanitize.Lock.release "a" a;
+          Sanitize.Lock.release "b" b);
       match List.filter (fun f -> f.Sanitize.rule = "LOCK01") (Sanitize.findings ()) with
       | [ f ] ->
         check_bool "acquisition-stack anchors present" true (f.Sanitize.anchors <> [])
@@ -130,16 +129,46 @@ let lock_order_cycle () =
 
 let lock_misuse () =
   with_sanitizer (fun () ->
-      vt 0 (fun () -> Sanitize.Lock.release "stray");
+      (* A lock never acquired, released while the thread's other
+         acquisition is on record in this epoch. *)
+      vt 0 (fun () ->
+          let m = Sanitize.Lock.acquire "m" in
+          Sanitize.Lock.release "stray" m;
+          Sanitize.Lock.release "m" m);
       Alcotest.(check (list string))
         "unheld release" [ "LOCK02" ]
         (rules (Sanitize.findings ())));
   with_sanitizer (fun () ->
       vt 0 (fun () ->
-          Sanitize.Lock.acquire "m";
-          Sanitize.Lock.acquire "m");
+          ignore (Sanitize.Lock.acquire "m");
+          ignore (Sanitize.Lock.acquire "m"));
       Alcotest.(check (list string))
         "recursive acquire" [ "LOCK02" ]
+        (rules (Sanitize.findings ())))
+
+(* The enable epoch: a lock taken while the recorder was off and released
+   after [enable] is no finding (a pool worker inside [pool.m] when a
+   harness switches the sanitizer on), a stale held entry from an earlier
+   epoch is no recursive acquisition, and a genuinely unbalanced release
+   in the current epoch still reports LOCK02. *)
+let lock_epochs () =
+  Sanitize.disable ();
+  Sanitize.reset ();
+  let before = Sanitize.Lock.acquire "m" in
+  with_sanitizer (fun () ->
+      Sanitize.Lock.release "m" before;
+      check_int "acquire, enable, release: no finding" 0
+        (List.length (Sanitize.findings ()));
+      ignore (Sanitize.Lock.acquire "n");
+      Sanitize.disable ();
+      Sanitize.enable ();
+      let n = Sanitize.Lock.acquire "n" in
+      Sanitize.Lock.release "n" n;
+      check_int "entry from an earlier epoch is not held" 0
+        (List.length (Sanitize.findings ()));
+      Sanitize.Lock.release "n" n;
+      Alcotest.(check (list string))
+        "double release in one epoch" [ "LOCK02" ]
         (rules (Sanitize.findings ())))
 
 let arena_ownership () =
@@ -262,6 +291,7 @@ let suite =
     case "indexed sites are independent" indexed_sites_independent;
     case "lock-order inversion cycles (LOCK01)" lock_order_cycle;
     case "lock misuse (LOCK02)" lock_misuse;
+    case "lock judgments stay within one enable epoch" lock_epochs;
     case "arena ownership (OWN01)" arena_ownership;
     case "seeded-race fixtures flag exactly their rule" fixture_suite;
     case "fuzzer is deterministic per seed" fuzzer_deterministic;

@@ -121,9 +121,9 @@ let metrics_basics () =
 
 let executor_counters () =
   without_program_cache @@ fun () ->
-  (* Default (batched) engine: 6 trajectories at the default width fit one
-     lockstep block — per-trajectory counters still count trajectories, and
-     durations land in the block histogram. *)
+  (* 6 trajectories at the default width fit one lockstep block —
+     per-trajectory counters still count trajectories, and durations land in
+     the block histogram. *)
   with_telemetry (fun () ->
       ignore (simulate ~domains:1 toffoli);
       check_int "trajectory count" 6 (Telemetry.Metrics.counter "executor.trajectories");
@@ -141,14 +141,15 @@ let executor_counters () =
       match Telemetry.Metrics.histogram "executor.block_us" with
       | None -> Alcotest.fail "block duration histogram missing"
       | Some h -> check_int "one duration sample per block" 1 h.Telemetry.Metrics.count);
-  (* Scalar engine (batch=1): the per-trajectory histogram remains. *)
+  (* Width 1: six one-lane blocks, one duration sample each. *)
   with_telemetry (fun () ->
       ignore (simulate ~batch:1 ~domains:1 toffoli);
-      check_int "trajectory count (scalar)" 6
+      check_int "trajectory count (width 1)" 6
         (Telemetry.Metrics.counter "executor.trajectories");
-      match Telemetry.Metrics.histogram "executor.trajectory_us" with
-      | None -> Alcotest.fail "trajectory duration histogram missing"
-      | Some h -> check_int "one duration sample per trajectory" 6 h.Telemetry.Metrics.count)
+      check_int "one block per trajectory" 6 (Telemetry.Metrics.counter "executor.batch.blocks");
+      match Telemetry.Metrics.histogram "executor.block_us" with
+      | None -> Alcotest.fail "block duration histogram missing"
+      | Some h -> check_int "one duration sample per block" 6 h.Telemetry.Metrics.count)
 
 let trace_valid ~domains () =
   let json =
