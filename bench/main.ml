@@ -145,6 +145,18 @@ let fig2 () =
 let fig7_strategies = Strategy.fig7_set
 let circuit_of family n = Bench_circuits.by_total_qubits family n
 
+(* The distinct circuits [sim_sizes] names in a family, in request order:
+   [by_total_qubits] rounds to the family's nearest buildable size (QRAM at
+   9 is the 7-qubit circuit), so two requested sizes can name one circuit,
+   and it is simulated once. *)
+let sim_circuits family =
+  List.fold_left
+    (fun acc n ->
+      let c = circuit_of family n in
+      if List.exists (fun (c' : Circuit.t) -> c'.Circuit.n = c.Circuit.n) acc then acc
+      else acc @ [ c ])
+    [] sim_sizes
+
 let fig7 () =
   header "Fig. 7: simulated fidelities across circuits, sizes and strategies";
   Printf.printf
@@ -159,17 +171,16 @@ let fig7 () =
       List.iter (fun (s : Strategy.t) -> Printf.printf " %-16s" s.Strategy.name) fig7_strategies;
       print_newline ();
       List.iter
-        (fun n ->
-          let circuit = circuit_of family n in
+        (fun (circuit : Circuit.t) ->
           Printf.printf "  %-6d" circuit.Circuit.n;
           List.iter
             (fun strategy ->
               let f, sem = simulate strategy circuit in
-              Hashtbl.replace results (family, n, strategy.Strategy.name) f;
+              Hashtbl.replace results (family, circuit.Circuit.n, strategy.Strategy.name) f;
               Printf.printf " %.3f+-%.3f    " f sem)
             fig7_strategies;
           print_newline ())
-        sim_sizes)
+        (sim_circuits family))
     Bench_circuits.all_families;
   subheader "Fig. 7e: average fidelity improvement over qubit-only";
   Printf.printf "  %-6s" "n";
@@ -187,9 +198,10 @@ let fig7 () =
             let ratios =
               List.filter_map
                 (fun family ->
+                  let size = (circuit_of family n).Circuit.n in
                   match
-                    ( Hashtbl.find_opt results (family, n, strategy.Strategy.name),
-                      Hashtbl.find_opt results (family, n, "qubit-only") )
+                    ( Hashtbl.find_opt results (family, size, strategy.Strategy.name),
+                      Hashtbl.find_opt results (family, size, "qubit-only") )
                   with
                   | Some f, Some base when base > 1e-6 -> Some (f /. base)
                   | _ -> None)
@@ -251,8 +263,7 @@ let fig9a () =
   List.iter (fun (s : Strategy.t) -> Printf.printf " %-18s" s.Strategy.name) strategies;
   print_newline ();
   List.iter
-    (fun n ->
-      let circuit = circuit_of Bench_circuits.Qram n in
+    (fun (circuit : Circuit.t) ->
       Printf.printf "  %-6d" circuit.Circuit.n;
       List.iter
         (fun strategy ->
@@ -260,7 +271,7 @@ let fig9a () =
           Printf.printf " %-18s" (Printf.sprintf "%.3f" f))
         strategies;
       print_newline ())
-    sim_sizes
+    (sim_circuits Bench_circuits.Qram)
 
 (* ---------------- Fig. 9b: gate-error sensitivity ---------------- *)
 

@@ -1,22 +1,10 @@
 module Diagnostic = Waltz_verify.Diagnostic
 module Rules = Waltz_verify.Rules
+module Json = Waltz_telemetry.Json
 
 (* ---- writer ---- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Json.escape
 
 let level_of = function
   | Diagnostic.Error -> "error"
@@ -118,243 +106,86 @@ let to_json (report : Diagnostic.report) =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-(* ---- self-contained JSON parser (cf. Telemetry.Trace.validate) ---- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+(* ---- schema checks ---- *)
 
 exception Bad of string
 
-let parse (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-        | Some '/' -> Buffer.add_char buf '/'; advance ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-          in
-          pos := !pos + 4;
-          (* Keep it simple: encode the code point as UTF-8. *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-        | _ -> fail "bad escape");
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_literal lit value =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit then begin
-      pos := !pos + String.length lit;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements []
-      end
-    | Some 't' -> parse_literal "true" (Bool true)
-    | Some 'f' -> parse_literal "false" (Bool false)
-    | Some 'n' -> parse_literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing characters";
-  v
-
-(* ---- schema checks ---- *)
-
-let field obj k = match obj with Obj kvs -> List.assoc_opt k kvs | _ -> None
+let field obj k = Json.member k obj
 
 let validate (text : string) =
-  try
-    let doc = parse text in
-    let str_field ctx obj k =
-      match field obj k with
-      | Some (Str s) when s <> "" -> s
-      | Some (Str _) -> raise (Bad (Printf.sprintf "%s: empty \"%s\"" ctx k))
-      | _ -> raise (Bad (Printf.sprintf "%s: missing string \"%s\"" ctx k))
-    in
-    (match field doc "version" with
-    | Some (Str "2.1.0") -> ()
-    | _ -> raise (Bad "version must be \"2.1.0\""));
-    let runs =
-      match field doc "runs" with
-      | Some (Arr (_ :: _ as runs)) -> runs
-      | _ -> raise (Bad "runs must be a non-empty array")
-    in
-    let check_run run =
-      let driver =
-        match field run "tool" with
-        | Some tool -> (
-          match field tool "driver" with
-          | Some d -> d
-          | None -> raise (Bad "run.tool.driver missing"))
-        | None -> raise (Bad "run.tool missing")
+  match Json.parse text with
+  | Error msg -> Error msg
+  | Ok doc -> (
+    try
+      let str_field ctx obj k =
+        match field obj k with
+        | Some (Json.Str s) when s <> "" -> s
+        | Some (Json.Str _) -> raise (Bad (Printf.sprintf "%s: empty \"%s\"" ctx k))
+        | _ -> raise (Bad (Printf.sprintf "%s: missing string \"%s\"" ctx k))
       in
-      ignore (str_field "driver" driver "name");
-      let rule_ids =
-        match field driver "rules" with
-        | None -> []
-        | Some (Arr rules) ->
-          let ids = List.map (fun r -> str_field "rule" r "id") rules in
-          let sorted = List.sort_uniq compare ids in
-          if List.length sorted <> List.length ids then
-            raise (Bad "driver.rules ids are not unique");
-          ids
-        | Some _ -> raise (Bad "driver.rules must be an array")
+      (match field doc "version" with
+      | Some (Json.Str "2.1.0") -> ()
+      | _ -> raise (Bad "version must be \"2.1.0\""));
+      let runs =
+        match field doc "runs" with
+        | Some (Json.Arr (_ :: _ as runs)) -> runs
+        | _ -> raise (Bad "runs must be a non-empty array")
       in
-      let results =
-        match field run "results" with
-        | Some (Arr results) -> results
-        | None -> []
-        | Some _ -> raise (Bad "run.results must be an array")
+      let check_run run =
+        let driver =
+          match field run "tool" with
+          | Some tool -> (
+            match field tool "driver" with
+            | Some d -> d
+            | None -> raise (Bad "run.tool.driver missing"))
+          | None -> raise (Bad "run.tool missing")
+        in
+        ignore (str_field "driver" driver "name");
+        let rule_ids =
+          match field driver "rules" with
+          | None -> []
+          | Some (Json.Arr rules) ->
+            let ids = List.map (fun r -> str_field "rule" r "id") rules in
+            let sorted = List.sort_uniq compare ids in
+            if List.length sorted <> List.length ids then
+              raise (Bad "driver.rules ids are not unique");
+            ids
+          | Some _ -> raise (Bad "driver.rules must be an array")
+        in
+        let results =
+          match field run "results" with
+          | Some (Json.Arr results) -> results
+          | None -> []
+          | Some _ -> raise (Bad "run.results must be an array")
+        in
+        List.iteri
+          (fun i result ->
+            let ctx = Printf.sprintf "results[%d]" i in
+            let rule_id = str_field ctx result "ruleId" in
+            (if rule_ids <> [] then begin
+               if not (List.mem rule_id rule_ids) then
+                 raise (Bad (Printf.sprintf "%s: ruleId %s not in driver.rules" ctx rule_id))
+             end
+             else if Rules.find rule_id = None then
+               raise
+                 (Bad
+                    (Printf.sprintf "%s: ruleId %s not in the registered rule catalog" ctx
+                       rule_id)));
+            (match field result "ruleIndex" with
+            | Some (Json.Num f) ->
+              let idx = int_of_float f in
+              if idx < 0 || idx >= List.length rule_ids || List.nth rule_ids idx <> rule_id
+              then raise (Bad (Printf.sprintf "%s: ruleIndex disagrees with ruleId" ctx))
+            | Some _ -> raise (Bad (Printf.sprintf "%s: ruleIndex must be a number" ctx))
+            | None -> ());
+            (match field result "level" with
+            | Some (Json.Str ("error" | "warning" | "note" | "none")) -> ()
+            | _ -> raise (Bad (Printf.sprintf "%s: bad level" ctx)));
+            match field result "message" with
+            | Some msg -> ignore (str_field ctx msg "text")
+            | None -> raise (Bad (Printf.sprintf "%s: message missing" ctx)))
+          results;
+        List.length results
       in
-      List.iteri
-        (fun i result ->
-          let ctx = Printf.sprintf "results[%d]" i in
-          let rule_id = str_field ctx result "ruleId" in
-          (if rule_ids <> [] then begin
-             if not (List.mem rule_id rule_ids) then
-               raise (Bad (Printf.sprintf "%s: ruleId %s not in driver.rules" ctx rule_id))
-           end
-           else if Rules.find rule_id = None then
-             raise
-               (Bad
-                  (Printf.sprintf "%s: ruleId %s not in the registered rule catalog" ctx
-                     rule_id)));
-          (match field result "ruleIndex" with
-          | Some (Num f) ->
-            let idx = int_of_float f in
-            if idx < 0 || idx >= List.length rule_ids || List.nth rule_ids idx <> rule_id
-            then raise (Bad (Printf.sprintf "%s: ruleIndex disagrees with ruleId" ctx))
-          | Some _ -> raise (Bad (Printf.sprintf "%s: ruleIndex must be a number" ctx))
-          | None -> ());
-          (match field result "level" with
-          | Some (Str ("error" | "warning" | "note" | "none")) -> ()
-          | _ -> raise (Bad (Printf.sprintf "%s: bad level" ctx)));
-          match field result "message" with
-          | Some msg -> ignore (str_field ctx msg "text")
-          | None -> raise (Bad (Printf.sprintf "%s: message missing" ctx)))
-        results;
-      List.length results
-    in
-    Ok (List.fold_left (fun acc run -> acc + check_run run) 0 runs)
-  with
-  | Bad msg -> Error msg
-  | Failure msg -> Error msg
+      Ok (List.fold_left (fun acc run -> acc + check_run run) 0 runs)
+    with Bad msg -> Error msg)

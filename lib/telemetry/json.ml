@@ -50,9 +50,30 @@ let parse s =
         | Some 'f' -> Buffer.add_char b '\012'
         | Some 'u' ->
           if !pos + 4 >= n then fail "truncated \\u escape";
-          (* Decoded code points are irrelevant to validation. *)
+          let code = ref 0 in
+          for i = 1 to 4 do
+            let digit =
+              match s.[!pos + i] with
+              | '0' .. '9' as c -> Char.code c - Char.code '0'
+              | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+              | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+              | _ -> fail "bad \\u escape"
+            in
+            code := (!code lsl 4) lor digit
+          done;
           pos := !pos + 4;
-          Buffer.add_char b '?'
+          (* UTF-8, one to three bytes (surrogates encoded as they come). *)
+          let code = !code in
+          if code < 0x80 then Buffer.add_char b (Char.chr code)
+          else if code < 0x800 then begin
+            Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+          end
+          else begin
+            Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+          end
         | _ -> fail "bad escape");
         advance ();
         go ()

@@ -511,6 +511,15 @@ let test_sarif_validator_rejects () =
       {|{"version":"2.1.0","runs":[{"tool":{"driver":{"name":"x"}},"results":[{"ruleId":"%s","level":"note","message":{"text":"m"}}]}]}|}
       id
   in
+  (* Escapes decode through the shared JSON parser: a \u-escaped ruleId
+     names the catalogued rule, and a malformed \u escape is rejected. *)
+  (match Sarif.validate (naked {|\u0052ES00|}) with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "escaped ruleId: %d results" n
+  | Error e -> Alcotest.failf "escaped ruleId rejected: %s" e);
+  (match Sarif.validate (naked {|RES\u00G0|}) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "malformed \\u escape accepted");
   (match Sarif.validate (naked "RES00") with
   | Ok 1 -> ()
   | Ok n -> Alcotest.failf "catalogued rule without driver.rules: %d results" n

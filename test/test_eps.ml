@@ -63,22 +63,58 @@ let test_t1_scaling () =
   check_bool "shorter high-level T1 lowers coherence EPS" true
     (scaled.Eps.coherence_eps < base.Eps.coherence_eps)
 
-let prop_eps_monotone_under_append =
-  Test_util.qcheck ~count:10 "appending gates never raises total EPS"
+(* Appending gates to a *circuit* does not bound the compiled program's
+   EPS: the initial placement and disruption-aware routing both weigh the
+   whole circuit's interaction graph, so compiling [base ++ tail] can route
+   [base]'s own gates more cheaply than compiling [base] alone. Seed 184
+   under full-ququart: the same initial map, but the tail's interactions
+   make the router pick a different SWAP slot for the fourth gate, and
+   total EPS is 0.7269 for [base] and 0.7720 for [base ++ tail]. What the
+   pipeline guarantees is monotonicity along a compiled program's own op
+   sequence: each appended op multiplies gate EPS by a success probability
+   of at most 1, can only extend the ASAP schedule, and coherence EPS never
+   exceeds 1. Checked on every prefix of the compiled [base ++ tail]. *)
+let check_prefix_monotone seed =
+  let base = Waltz_benchmarks.Bench_circuits.synthetic ~n:5 ~gates:6 ~cx_fraction:0.5 ~seed in
+  let extended =
+    Circuit.append base
+      (Waltz_benchmarks.Bench_circuits.synthetic ~n:5 ~gates:4 ~cx_fraction:0.5
+         ~seed:(seed + 1))
+  in
+  let program = Compile.compile Strategy.full_ququart extended in
+  let prefix k =
+    Eps.estimate
+      { program with
+        Physical.ops = List.filteri (fun i _ -> i < k) program.Physical.ops;
+        schedule_memo = None }
+  in
+  let fail k what = Alcotest.failf "seed %d: appending op %d %s" seed k what in
+  let prev = ref (prefix 0) in
+  for k = 1 to List.length program.Physical.ops do
+    let e = prefix k in
+    if e.Eps.gate_eps > !prev.Eps.gate_eps then fail k "raised gate EPS";
+    if e.Eps.duration_ns < !prev.Eps.duration_ns then fail k "shortened the schedule";
+    if e.Eps.total_eps > e.Eps.gate_eps then fail k "left total EPS above gate EPS";
+    prev := e
+  done
+
+let prop_eps_monotone_along_ops =
+  Test_util.qcheck ~count:10 "EPS is monotone along compiled ops"
     QCheck.(int_range 0 2000)
     (fun seed ->
-      let base = Waltz_benchmarks.Bench_circuits.synthetic ~n:5 ~gates:6 ~cx_fraction:0.5 ~seed in
-      let extended =
-        Circuit.append base
-          (Waltz_benchmarks.Bench_circuits.synthetic ~n:5 ~gates:4 ~cx_fraction:0.5
-             ~seed:(seed + 1))
-      in
-      let eps c = (Eps.estimate (Compile.compile Strategy.full_ququart c)).Eps.total_eps in
-      eps extended <= eps base +. 1e-9)
+      check_prefix_monotone seed;
+      true)
+
+(* The seeds where the compiled [base ++ tail] has a higher total EPS than
+   the compiled [base] (every such seed in 0..2000). *)
+let test_eps_known_seeds () =
+  List.iter check_prefix_monotone
+    [ 37; 184; 510; 560; 887; 1051; 1086; 1113; 1194; 1273; 1332; 1382; 1666; 1997 ]
 
 let suite =
   [ case "gate eps product" test_gate_eps_product;
-    prop_eps_monotone_under_append;
+    prop_eps_monotone_along_ops;
+    case "EPS monotone on circuit-level outlier seeds" test_eps_known_seeds;
     case "more gates lower eps" test_more_gates_lower_eps;
     case "strategy ranking" test_strategies_ranking;
     case "ww error scaling" test_ww_error_scaling;
