@@ -143,9 +143,9 @@ let batch_arg =
     & opt (some int) None
     & info [ "batch" ] ~docv:"B"
         ~doc:
-          "Trajectories run in lockstep per block (default: $(b,WALTZ_BATCH) or 8, \
-           clamped to the trajectory count; 1 = one-lane blocks). Results are \
-           identical at every setting.")
+          "Lockstep block width: trajectories advanced together per block \
+           (default: $(b,WALTZ_BATCH) or 8, clamped to the trajectory count; 1 = \
+           one-lane blocks). Results are identical at every setting.")
 
 let stats_arg =
   Arg.(
@@ -1137,7 +1137,7 @@ let flight_dump_cmd =
       value
       & opt (some string) None
       & info [ "o"; "output-dir" ] ~docv:"DIR"
-          ~doc:"Dump directory (default: $(b,WALTZ_FLIGHT_DIR) or the temp dir).")
+          ~doc:"Dump directory (default: \\$(b,WALTZ_FLIGHT_DIR) or the temp dir).")
   in
   Cmd.v
     (Cmd.info "flight-dump"
@@ -1193,7 +1193,7 @@ let profile_cmd =
       value
       & opt (some int) None
       & info [ "hz" ] ~docv:"HZ"
-          ~doc:"Sampling rate (default: $(b,WALTZ_PROFILE_HZ) or 97).")
+          ~doc:"Sampling rate (default: \\$(b,WALTZ_PROFILE_HZ) or 97).")
   in
   let args =
     Arg.(

@@ -84,8 +84,8 @@ type plan = {
   plan_leak : leakage_tables;  (** final-map leakage tables *)
   plan_dispatch : (Telemetry.Metrics.cell * int) array;
       (** per kernel class: (dispatch counter cell, ops of that class). The
-          dispatch tally per trajectory or block is a static function of
-          the plan, so the instrumented wrappers flush one increment per
+          dispatch tally per block is a static function of the plan and its
+          live lanes, so the instrumented wrappers flush one increment per
           class instead of one per op application. *)
 }
 
